@@ -76,7 +76,6 @@ from .stems import (
     TRACK_NAMES,
     DirectoryStemProvider,
     NoisyOracleStemProvider,
-    OracleStemProvider,
     Segment,
     StemSet,
     blend_other,

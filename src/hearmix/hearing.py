@@ -19,13 +19,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve, freqz
+from scipy.signal import freqz
 
-from .audio import AudioBuffer
-
-# direct convolution is exact for impulse-like filters and fast enough at
-# prescription lengths; FFT convolution only pays off for very long filters
-_DIRECT_TAPS_MAX = 2048
+from .audio import AudioBuffer, _convolve
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -101,12 +97,15 @@ def load_listener(path) -> Listener:
     "right_db_hl": [...]}`` with one shared frequency list for both ears.
     """
     doc = json.loads(Path(path).read_text())
-    freqs = doc["frequencies"]
-    return Listener(
-        id=str(doc["id"]),
-        left=Audiogram(tuple(freqs), tuple(doc["left_db_hl"])),
-        right=Audiogram(tuple(freqs), tuple(doc["right_db_hl"])),
-    )
+    try:
+        freqs = tuple(doc["frequencies"])
+        return Listener(
+            id=str(doc["id"]),
+            left=Audiogram(freqs, tuple(doc["left_db_hl"])),
+            right=Audiogram(freqs, tuple(doc["right_db_hl"])),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad listener file: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,11 +253,7 @@ def apply_fir(
     start = fir.delay if compensate_delay else 0
     out = np.empty_like(signal.samples)
     for ch in range(signal.channels):
-        if fir.taps.size <= _DIRECT_TAPS_MAX:
-            full = np.convolve(signal.samples[ch], fir.taps, mode="full")
-        else:
-            full = fftconvolve(signal.samples[ch], fir.taps, mode="full")
-        out[ch] = full[start : start + n]
+        out[ch] = _convolve(signal.samples[ch], fir.taps)[start : start + n]
     return signal.with_samples(out)
 
 

@@ -101,49 +101,66 @@ def _k_weighting_sos(sample_rate: int) -> np.ndarray:
     return np.array([shelf, highpass])
 
 
-def integrated_loudness(buffer: AudioBuffer) -> LoudnessLufs:
-    """Gated integrated loudness of a buffer in LUFS."""
+def _block_powers(buffer: AudioBuffer) -> np.ndarray | None:
+    """K-weighted power of each 400 ms block, summed over channels.
+
+    None when the buffer is shorter than one block. K-weighting is linear,
+    so scaling the buffer by g scales every block power by g**2.
+    """
     if buffer.sample_rate < 8000:
         raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {buffer.sample_rate}")
     block = int(round(_BLOCK_SECONDS * buffer.sample_rate))
     hop = int(round(_HOP_SECONDS * buffer.sample_rate))
     if buffer.n_frames < block:
-        return LoudnessLufs(None)
+        return None
 
     weighted = sosfilt(_k_weighting_sos(buffer.sample_rate), buffer.samples, axis=1)
     energy = np.concatenate(
         [np.zeros((buffer.channels, 1)), np.cumsum(weighted * weighted, axis=1)], axis=1
     )
     starts = np.arange(0, buffer.n_frames - block + 1, hop)
-    block_power = (energy[:, starts + block] - energy[:, starts]).sum(axis=0) / block
-    block_lufs = _LOUDNESS_OFFSET + 10.0 * np.log10(np.maximum(block_power, 1e-30))
+    return (energy[:, starts + block] - energy[:, starts]).sum(axis=0) / block
 
+
+def _gated_lufs(block_power: np.ndarray | None) -> float | None:
+    """Absolute then relative gating of block powers; None when all gated out."""
+    if block_power is None:
+        return None
+    block_lufs = _LOUDNESS_OFFSET + 10.0 * np.log10(np.maximum(block_power, 1e-30))
     kept = block_lufs > _ABSOLUTE_GATE_LUFS
     if not np.any(kept):
-        return LoudnessLufs(None)
+        return None
     relative_gate = (
         _LOUDNESS_OFFSET + 10.0 * np.log10(np.mean(block_power[kept])) - _RELATIVE_GATE_LU
     )
     kept &= block_lufs > relative_gate
     if not np.any(kept):
-        return LoudnessLufs(None)
-    return LoudnessLufs(_LOUDNESS_OFFSET + 10.0 * np.log10(np.mean(block_power[kept])))
+        return None
+    return _LOUDNESS_OFFSET + 10.0 * np.log10(np.mean(block_power[kept]))
+
+
+def integrated_loudness(buffer: AudioBuffer) -> LoudnessLufs:
+    """Gated integrated loudness of a buffer in LUFS."""
+    return LoudnessLufs(_gated_lufs(_block_powers(buffer)))
 
 
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
     """Scale a buffer by one scalar so its loudness matches the target.
 
-    Gating can shift once the signal is rescaled, so the scalar is refined
-    once if the first measurement after scaling is off by more than 0.01 LU.
+    The block powers are measured once. The relative gate moves with the
+    scale, but the -70 LUFS absolute gate does not, so a gain can keep or
+    drop different blocks; the gain is therefore re-solved once on the
+    scaled powers instead of filtering the scaled signal again.
     """
-    measured = integrated_loudness(buffer)
-    if not measured.is_defined:
+    powers = _block_powers(buffer)
+    measured = _gated_lufs(powers)
+    if measured is None:
         raise UndefinedLoudnessError("cannot normalize: input loudness is undefined")
-    gain = 10.0 ** ((target_lufs - measured.value) / 20.0)
-    check = integrated_loudness(buffer.with_samples(buffer.samples * gain))
-    if check.is_defined and abs(check.value - target_lufs) > 0.01:
-        gain *= 10.0 ** ((target_lufs - check.value) / 20.0)
-    return buffer.with_samples(buffer.samples * gain)
+    gain_db = target_lufs - measured
+    rescaled = _gated_lufs(powers * 10.0 ** (gain_db / 10.0))
+    if rescaled is not None:
+        gain_db += target_lufs - rescaled
+    return buffer.with_samples(buffer.samples * 10.0 ** (gain_db / 20.0))
 
 
 def count_clipped(buffer: AudioBuffer) -> ClipReport:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -124,22 +124,10 @@ class EnhanceOptions:
             object.__setattr__(self, "ensemble_weights", tuple(self.ensemble_weights))
 
     def as_dict(self) -> dict[str, Any]:
+        weights = self.ensemble_weights
         return {
-            "use_residual": self.use_residual,
-            "use_compressor_heuristic": self.use_compressor_heuristic,
-            "ensemble_weights": (
-                list(self.ensemble_weights) if self.ensemble_weights is not None else None
-            ),
-            "blend_weight": self.blend_weight,
-            "n_taps": self.n_taps,
-            "compressor": {
-                "threshold_db": self.compressor.threshold_db,
-                "ratio": self.compressor.ratio,
-                "attack_ms": self.compressor.attack_ms,
-                "release_ms": self.compressor.release_ms,
-                "makeup_db": self.compressor.makeup_db,
-            },
-            "output_format": self.output_format,
+            **asdict(self),
+            "ensemble_weights": list(weights) if weights is not None else None,
         }
 
 

@@ -8,11 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import oaconvolve
 
-from .audio import AudioBuffer, read_wav
-
-_DIRECT_CONVOLUTION_MAX = 128
+from .audio import AudioBuffer, _convolve, read_wav
 
 # directory layout for a kernel stored as four mono files
 _KERNEL_FILE_NAMES = ("ll.wav", "rl.wav", "lr.wav", "rr.wav")
@@ -58,14 +55,6 @@ def identity_kernel(sample_rate: int, length: int = 1) -> CrosstalkKernel:
     direct[0] = 1.0
     silent = np.zeros(length)
     return CrosstalkKernel(direct, silent, silent, direct.copy(), sample_rate)
-
-
-def _convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # overlap-add only pays off for long kernels; results match direct
-    # convolution to ~1e-15 either way
-    if kernel.size > _DIRECT_CONVOLUTION_MAX:
-        return oaconvolve(signal, kernel, mode="full")
-    return np.convolve(signal, kernel, mode="full")
 
 
 def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer:

@@ -3,8 +3,8 @@ salient-segment selection.
 
 A stem set holds the four time-aligned component tracks of one song:
 vocals, drums, bass, other. Providers stand in for the upstream separators:
-a directory of per-track WAVs, the ground truth itself, or ground truth
-corrupted with seeded noise for controlled experiments.
+a directory of per-track WAVs, or ground truth corrupted with seeded
+noise for controlled experiments.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ class DirectoryStemProvider:
         return StemSet(**buffers)
 
 
-class OracleStemProvider:
-    """Returns the supplied ground-truth stems unchanged."""
-
-    def __init__(self, stem_set: StemSet):
-        self._stems = stem_set
-
-    def stems(self) -> StemSet:
-        return self._stems
-
-
 class NoisyOracleStemProvider:
     """Ground truth plus seeded white Gaussian noise at a per-track SNR.
 
@@ -127,7 +117,7 @@ def provider_from_spec(spec, base_dir=None):
     """Build a provider from a manifest entry.
 
     A bare string is a stem directory. Objects take
-    ``{"kind": "directory"|"oracle", "path": ...}`` or
+    ``{"kind": "directory", "path": ...}`` or
     ``{"kind": "noisy_oracle", "path": ..., "snr_db": ..., "seed": ...}``.
     """
     base = Path(base_dir) if base_dir is not None else Path(".")
@@ -136,7 +126,7 @@ def provider_from_spec(spec, base_dir=None):
     if not isinstance(spec, Mapping):
         raise ValueError(f"stem provider spec must be a path or object, got {spec!r}")
     kind = spec.get("kind")
-    if kind in ("directory", "oracle"):
+    if kind == "directory":
         return DirectoryStemProvider(base / spec["path"])
     if kind == "noisy_oracle":
         truth = DirectoryStemProvider(base / spec["path"]).stems()

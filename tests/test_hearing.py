@@ -71,6 +71,23 @@ class TestListenerFile:
         assert listener.left.level_at(2000.0) == 30.0
         assert listener.right.level_at(250.0) == 5.0
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"frequencies": [500, 1000, 2000], "left_db_hl": [1, 2, 3], "right_db_hl": [1, 2, 3]},
+            {"id": "L", "frequencies": [500, 1000, 2000], "left_db_hl": [1, 2, 3]},
+            {"id": "L", "frequencies": 1000, "left_db_hl": [1], "right_db_hl": [1]},
+            {"id": "L", "frequencies": [500, 1000, 2000], "left_db_hl": [1, None, 3],
+             "right_db_hl": [1, 2, 3]},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "listener.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="listener.json"):
+            load_listener(path)
+
 
 class TestInsertionGains:
     def test_no_loss_prescribes_nothing(self):
@@ -194,6 +211,19 @@ class TestApplyFir:
         x = make_buffer(rng.normal(0, 0.3, (2, 5000)))
         out = apply_fir(x, _delta_filter(value=0.5))
         np.testing.assert_array_equal(out.samples, x.samples * 0.5)
+
+    def test_long_filter_matches_direct_convolution(self, rng):
+        # 259 taps is past the direct-convolution cut-over, so this runs
+        # the overlap-add path
+        x = make_buffer(rng.normal(0, 0.3, (2, 5000)))
+        taps = rng.normal(0, 0.1, 259)
+        fir = FirFilter(0.5 * (taps + taps[::-1]), 44100)
+        out = apply_fir(x, fir)
+        for ch in range(2):
+            direct = np.convolve(x.samples[ch], fir.taps)[fir.delay : fir.delay + 5000]
+            np.testing.assert_allclose(
+                out.samples[ch], direct, rtol=0, atol=1e-12 * np.max(np.abs(direct))
+            )
 
     def test_uncompensated_output_is_delayed(self, rng):
         x = make_buffer(rng.normal(0, 0.3, (1, 500)))

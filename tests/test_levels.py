@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.signal import bilinear, lfilter
+from scipy.signal import bilinear, lfilter, sosfilt
 
 from hearmix import (
     CLIP_TRIGGER_COUNT,
@@ -15,6 +15,7 @@ from hearmix import (
     normalize_to_loudness,
     should_compress,
 )
+from hearmix import levels
 from util import make_buffer, sine_buffer
 
 
@@ -134,10 +135,29 @@ class TestNormalizeToLoudness:
         assert gain == pytest.approx(10 ** (10 / 20), rel=0.01)
 
     def test_hits_target_within_tenth_lu(self, rng):
+        noise = make_buffer(0.1 * rng.normal(0, 1, (2, 3 * 44100)))
+        # a quiet intro 9 dB under the body: at -63 LUFS the first gain
+        # pushes the intro's blocks under the -70 LUFS absolute gate, which
+        # drops them from the measurement and raises the loudness by ~1 LU
+        intro = 0.1 * 10 ** (-9 / 20) * rng.normal(0, 1, (2, 44100))
+        body = 0.1 * rng.normal(0, 1, (2, 2 * 44100))
+        gate_crossing = make_buffer(np.concatenate([intro, body], axis=1))
+        for program in (noise, gate_crossing):
+            for target in (-30.0, -23.0, -13.0, -6.0, -63.0):
+                out = normalize_to_loudness(program, target)
+                assert integrated_loudness(out).value == pytest.approx(target, abs=0.1)
+
+    def test_filters_the_signal_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting_sosfilt(*args, **kwargs):
+            calls.append(1)
+            return sosfilt(*args, **kwargs)
+
+        monkeypatch.setattr(levels, "sosfilt", counting_sosfilt)
         program = make_buffer(0.1 * rng.normal(0, 1, (2, 3 * 44100)))
-        for target in (-30.0, -23.0, -13.0, -6.0):
-            out = normalize_to_loudness(program, target)
-            assert integrated_loudness(out).value == pytest.approx(target, abs=0.1)
+        normalize_to_loudness(program, -23.0)
+        assert len(calls) == 1
 
     def test_silence_rejected(self):
         silent = make_buffer(np.zeros((2, 44100)))

@@ -113,6 +113,20 @@ class TestApplyCrosstalk:
             out.samples[0], direct, rtol=0, atol=1e-9 * np.max(np.abs(direct))
         )
 
+    def test_first_length_past_direct_cutover_matches_direct(self, rng):
+        signal = rng.normal(0, 0.3, (2, 5000))
+        kernel = _random_kernel(rng, 257)
+        out = apply_crosstalk(make_buffer(signal), kernel)
+        left, right = signal
+        expected = [
+            np.convolve(left, kernel.h_ll) + np.convolve(right, kernel.h_rl),
+            np.convolve(left, kernel.h_lr) + np.convolve(right, kernel.h_rr),
+        ]
+        for got, want in zip(out.samples, expected):
+            np.testing.assert_allclose(
+                got, want[:5000], rtol=0, atol=1e-12 * np.max(np.abs(want))
+            )
+
     def test_mono_rejected(self, rng):
         buf = make_buffer(rng.normal(0, 0.2, (1, 100)))
         with pytest.raises(ValueError, match="stereo"):

@@ -10,7 +10,6 @@ from hearmix import (
     AudioBuffer,
     DirectoryStemProvider,
     NoisyOracleStemProvider,
-    OracleStemProvider,
     StemSet,
     blend_other,
     compute_residual,
@@ -332,10 +331,6 @@ class TestProviders:
         with pytest.raises(FileNotFoundError, match="bass"):
             DirectoryStemProvider(tmp_path / "stems").stems()
 
-    def test_oracle_passthrough(self, rng):
-        stems = synth_stems(rng, seconds=0.05)
-        assert OracleStemProvider(stems).stems() is stems
-
     def test_noisy_oracle_is_seeded(self, rng):
         stems = synth_stems(rng, seconds=0.05)
         a = NoisyOracleStemProvider(stems, 10.0, seed=7).stems()
@@ -382,5 +377,7 @@ class TestProviders:
         assert isinstance(noisy, NoisyOracleStemProvider)
         with pytest.raises(ValueError, match="kind"):
             provider_from_spec({"kind": "magic"}, tmp_path)
+        with pytest.raises(ValueError, match="kind"):
+            provider_from_spec({"kind": "oracle", "path": "stems"}, tmp_path)
         with pytest.raises(ValueError):
             provider_from_spec(42, tmp_path)
