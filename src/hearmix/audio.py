@@ -218,6 +218,8 @@ def read_wav(path) -> AudioBuffer:
         flat = codes.astype(np.float64) / 2.0**23
     else:
         flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise WavReadError(f"{path}: float samples contain NaN or Inf")
 
     samples = flat.reshape(n_frames, channels).T
     return AudioBuffer(samples, int(rate))

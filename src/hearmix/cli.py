@@ -12,17 +12,18 @@ import json
 import sys
 from pathlib import Path
 
-from .audio import WavFormat, read_wav, write_wav
+from .audio import read_wav, write_wav
 from .hearing import DEFAULT_NALR_TAPS, load_listener
 from .levels import CompressorParams
 from .metrics import REPORT_SCHEMA_VERSION, evaluate_song
 from .pipeline import (
+    BatchJob,
     EnhanceOptions,
     build_reference,
-    enhance,
     load_gains,
     load_manifest,
     run_batch,
+    run_job,
 )
 from .spatial import apply_crosstalk, load_kernel
 from .stems import DirectoryStemProvider, salient_segments
@@ -56,19 +57,11 @@ def _options_from_args(args) -> EnhanceOptions:
 
 
 def _cmd_enhance(args) -> int:
-    mix = read_wav(args.mix)
-    stem_sets = [DirectoryStemProvider(d).stems() for d in args.stems]
-    gains = load_gains(args.gains)
-    listener = load_listener(args.listener)
-    options = _options_from_args(args)
-    output, report = enhance(
-        mix, stem_sets, gains, listener, options, song_id=Path(args.mix).stem
+    mix = Path(args.mix)
+    job = BatchJob(
+        mix.stem, mix, tuple(args.stems), Path(args.gains), Path(args.listener), Path(args.out)
     )
-    write_wav(
-        output,
-        args.out,
-        WavFormat(options.output_format, output.sample_rate, output.channels),
-    )
+    report = run_job(job, Path("."), _options_from_args(args))
     json.dump(report.as_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -143,7 +136,7 @@ def _cmd_segments(args) -> int:
 def _cmd_batch(args) -> int:
     try:
         manifest = load_manifest(args.manifest)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_USAGE
     reports = run_batch(manifest, workers=args.workers)

@@ -96,8 +96,8 @@ def load_listener(path) -> Listener:
     Schema: ``{"id": str, "frequencies": [Hz...], "left_db_hl": [...],
     "right_db_hl": [...]}`` with one shared frequency list for both ears.
     """
-    doc = json.loads(Path(path).read_text())
     try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         freqs = tuple(doc["frequencies"])
         return Listener(
             id=str(doc["id"]),

@@ -85,9 +85,16 @@ class GainSpec:
         }
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+
+
 def load_gains(path) -> GainSpec:
     """Load a gains JSON file: {"vocals": dB|"mute", "drums": ..., ...}."""
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: gains file must hold a JSON object")
     missing = [name for name in TRACK_NAMES if name not in doc]
@@ -133,11 +140,45 @@ class EnhanceOptions:
 
 def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     """Sum the tracks scaled to the requested gains; muted tracks add zero."""
-    acc = None
-    for name in TRACK_NAMES:
-        scaled = db_to_linear(gains.gain(name)) * stems.track(name).samples
-        acc = scaled if acc is None else acc + scaled
+    first, *rest = TRACK_NAMES
+    acc = db_to_linear(gains.gain(first)) * stems.track(first).samples
+    for name in rest:
+        acc += db_to_linear(gains.gain(name)) * stems.track(name).samples
     return stems.vocals.with_samples(acc)
+
+
+def _loudness_target(mixture: AudioBuffer) -> float:
+    loudness = integrated_loudness(mixture)
+    if not loudness.is_defined:
+        raise UndefinedLoudnessError("mixture loudness is undefined; cannot set a target")
+    return loudness.value
+
+
+def _normalize_and_amplify(
+    signal: AudioBuffer, target_lufs: float, listener: Listener, n_taps: int
+) -> AudioBuffer:
+    """The tail shared by ``enhance`` and ``build_reference``."""
+    return nalr_process(normalize_to_loudness(signal, target_lufs), listener, n_taps)
+
+
+def _front_end(
+    mix: AudioBuffer,
+    stem_sets: Sequence[StemSet],
+    gains: GainSpec,
+    options: EnhanceOptions,
+    stages: list[str],
+) -> AudioBuffer:
+    """Ensemble, residual repair and remix. The intermediate stem sets are
+    freed when this returns, so the rest of the chain holds one signal."""
+    stems = ensemble_average(stem_sets, options.ensemble_weights)
+    stages.append("ensemble")
+    if options.use_residual:
+        blended = blend_other(stems.other, compute_residual(mix, stems), options.blend_weight)
+        stems = stems.with_track("other", blended)
+        stages.append("residual")
+    remixed = remix(stems, gains)
+    stages.append("remix")
+    return remixed
 
 
 def enhance(
@@ -162,44 +203,23 @@ def enhance(
     ensure_aligned(mix, stem_sets[0].vocals, what="mix and stems")
 
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
+    target = report.input_loudness_lufs = _loudness_target(mix)
 
-    stems = ensemble_average(stem_sets, options.ensemble_weights)
-    report.stages.append("ensemble")
+    signal = _front_end(mix, stem_sets, gains, options, report.stages)
+    signal = _normalize_and_amplify(signal, target, listener, options.n_taps)
+    report.stages += ["normalize", "nalr"]
 
-    if options.use_residual:
-        residual = compute_residual(mix, stems)
-        stems = stems.with_track(
-            "other", blend_other(stems.other, residual, options.blend_weight)
-        )
-        report.stages.append("residual")
-
-    remixed = remix(stems, gains)
-    report.stages.append("remix")
-
-    input_loudness = integrated_loudness(mix)
-    if not input_loudness.is_defined:
-        raise UndefinedLoudnessError(
-            "input mixture loudness is undefined; cannot set a target"
-        )
-    report.input_loudness_lufs = input_loudness.value
-    normalized = normalize_to_loudness(remixed, input_loudness.value)
-    report.stages.append("normalize")
-
-    amplified = nalr_process(normalized, listener, options.n_taps)
-    report.stages.append("nalr")
-
-    clip_report = count_clipped(amplified)
+    clip_report = count_clipped(signal)
     report.clipped_samples = clip_report.per_channel
     report.clip_trigger_threshold = clip_report.trigger_threshold
     report.stages.append("clip_check")
 
-    output = amplified
     if options.use_compressor_heuristic and should_compress(clip_report):
-        output = compress(amplified, options.compressor)
+        signal = compress(signal, options.compressor)
         report.compressor_applied = True
         report.stages.append("compress")
 
-    return output, report
+    return signal, report
 
 
 def build_reference(
@@ -215,16 +235,8 @@ def build_reference(
     """
     if options is None:
         options = EnhanceOptions()
-    unit_gains = GainSpec(0.0, 0.0, 0.0, 0.0)
-    mixture = remix(true_stems, unit_gains)
-    target = integrated_loudness(mixture)
-    if not target.is_defined:
-        raise UndefinedLoudnessError(
-            "silent program: true mixture loudness is undefined"
-        )
-    remixed = remix(true_stems, gains)
-    normalized = normalize_to_loudness(remixed, target.value)
-    return nalr_process(normalized, listener, options.n_taps)
+    target = _loudness_target(remix(true_stems, GainSpec(0.0, 0.0, 0.0, 0.0)))
+    return _normalize_and_amplify(remix(true_stems, gains), target, listener, options.n_taps)
 
 
 @dataclass(frozen=True)
@@ -248,7 +260,7 @@ class BatchManifest:
 def load_manifest(path) -> BatchManifest:
     """Parse a batch manifest; malformed manifests are fatal."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("jobs"), list):
         raise ValueError(f"{path}: manifest must be an object with a \"jobs\" array")
     base = path.parent
@@ -277,30 +289,18 @@ def load_manifest(path) -> BatchManifest:
     return BatchManifest(jobs=tuple(jobs), base_dir=base)
 
 
-def _run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
-    try:
-        mix = read_wav(job.mix_path)
-        stem_sets = [
-            provider_from_spec(spec, base_dir).stems() for spec in job.stem_specs
-        ]
-        gains = load_gains(job.gains_path)
-        listener = load_listener(job.listener_path)
-        output, report = enhance(
-            mix, stem_sets, gains, listener, options, song_id=job.song_id
-        )
-        job.output_path.parent.mkdir(parents=True, exist_ok=True)
-        write_wav(
-            output,
-            job.output_path,
-            WavFormat(options.output_format, output.sample_rate, output.channels),
-        )
-        return report
-    except Exception as exc:
-        return EnhanceReport(
-            song_id=job.song_id,
-            options=options.as_dict(),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
+    """Load one job's inputs, enhance the song and write its output, creating
+    the output folder. Stem specs resolve against ``base_dir``. Errors propagate."""
+    mix = read_wav(job.mix_path)
+    stem_sets = [provider_from_spec(spec, base_dir).stems() for spec in job.stem_specs]
+    gains = load_gains(job.gains_path)
+    listener = load_listener(job.listener_path)
+    output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)
+    fmt = WavFormat(options.output_format, output.sample_rate, output.channels)
+    job.output_path.parent.mkdir(parents=True, exist_ok=True)
+    write_wav(output, job.output_path, fmt)
+    return report
 
 
 def run_batch(
@@ -308,18 +308,22 @@ def run_batch(
     options: EnhanceOptions | None = None,
     workers: int = 1,
 ) -> list[EnhanceReport]:
-    """Run every manifest job, isolating per-job failures.
+    """Run every manifest job on ``workers`` threads, isolating per-job failures.
 
     Failed jobs yield a report with the ``error`` field set instead of
     aborting the batch; reports come back in manifest order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if options is None:
         options = EnhanceOptions()
-    if workers <= 1 or len(manifest.jobs) <= 1:
-        return [_run_job(job, manifest.base_dir, options) for job in manifest.jobs]
+
+    def isolated(job: BatchJob) -> EnhanceReport:
+        try:
+            return run_job(job, manifest.base_dir, options)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            return EnhanceReport(song_id=job.song_id, options=options.as_dict(), error=error)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_job, job, manifest.base_dir, options)
-            for job in manifest.jobs
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(isolated, manifest.jobs))

@@ -167,8 +167,9 @@ def ensemble_average(
     for name in TRACK_NAMES:
         acc = np.zeros_like(stem_sets[0].track(name).samples)
         for weight, stem_set in zip(w, stem_sets):
-            acc = acc + weight * stem_set.track(name).samples
-        averaged[name] = stem_sets[0].track(name).with_samples(acc / total)
+            acc += weight * stem_set.track(name).samples
+        acc /= total
+        averaged[name] = stem_sets[0].track(name).with_samples(acc)
     return StemSet(**averaged)
 
 

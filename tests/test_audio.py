@@ -170,6 +170,16 @@ class TestReadWav:
         with pytest.raises(ValueError):
             read_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float_sample_is_a_read_error_naming_the_file(self, tmp_path, bad):
+        payload = np.array([0.0, 0.25, bad, -0.5], dtype="<f4").tobytes()
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 3, 1, 44100, 176400, 4, 32)
+        body = fmt + struct.pack("<4sI", b"data", len(payload)) + payload
+        path = tmp_path / "nonfinite.wav"
+        path.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body)
+        with pytest.raises(WavReadError, match="nonfinite.wav"):
+            read_wav(path)
+
 
 class TestWriteWav:
     def test_zeros_round_trip(self, tmp_path):

@@ -47,6 +47,21 @@ class TestEnhanceCommand:
         out = read_wav(song / "enhanced.wav")
         assert out.channels == 2
 
+    def test_creates_output_folder(self, song, capsys, monkeypatch):
+        monkeypatch.chdir(song)  # relative paths, as a shell user types them
+        rc = main(
+            [
+                "enhance",
+                "--mix", "mix.wav",
+                "--stems", "stems",
+                "--gains", "gains.json",
+                "--listener", "listener.json",
+                "--out", "new_dir/x.wav",
+            ]
+        )
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert read_wav(song / "new_dir" / "x.wav").channels == 2
+
     def test_flags_reach_options(self, song, capsys):
         rc = main(
             [

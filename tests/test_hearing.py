@@ -88,6 +88,13 @@ class TestListenerFile:
         with pytest.raises(ValueError, match="listener.json"):
             load_listener(path)
 
+    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    def test_undecodable_file_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "broken_listener.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="broken_listener.json"):
+            load_listener(path)
+
 
 class TestInsertionGains:
     def test_no_loss_prescribes_nothing(self):

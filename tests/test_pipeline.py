@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def _is_subsequence(seq, full):
     return all(item in it for item in seq)
 
 
+def _peak_buffers(like, fn, *args):
+    """Result of one call and its transient peak allocation, counted in
+    buffers the size of ``like``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / like.samples.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 class TestGainSpec:
     def test_mute_representation(self):
         spec = GainSpec(MUTE, 0.0, 3.0, -2.5)
@@ -77,6 +90,13 @@ class TestGainSpec:
         path = tmp_path / "gains.json"
         path.write_text(json.dumps({"vocals": "loud", "drums": 0, "bass": 0, "other": 0}))
         with pytest.raises(ValueError, match="vocals"):
+            load_gains(path)
+
+    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    def test_load_gains_undecodable_file_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "broken_gains.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="broken_gains.json"):
             load_gains(path)
 
 
@@ -244,7 +264,40 @@ class TestEnhance:
         assert report.as_dict()["schema_version"] == 1
 
 
+class TestPeakMemory:
+    """Each stage's output is freed once the next stage has consumed it."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_enhance_holds_few_buffers_through_the_compressor(self, rng, k):
+        truth = synth_stems(rng, seconds=3.0, peak=0.22)
+        mix = exact_mix(truth)
+        sets = [NoisyOracleStemProvider(truth, 20.0, seed=s).stems() for s in range(k)]
+        (_, report), peak = _peak_buffers(
+            mix, enhance, mix, sets, UNIT_GAINS, flat_listener(60.0)
+        )
+        assert report.compressor_applied
+        assert peak <= 7.5
+
+    def test_build_reference_holds_few_buffers(self, rng):
+        truth = synth_stems(rng, seconds=3.0, peak=0.22)
+        _, peak = _peak_buffers(
+            truth.vocals, build_reference, truth, UNIT_GAINS, flat_listener(60.0)
+        )
+        assert peak <= 4.5
+
+
 class TestBuildReference:
+    def test_is_enhance_without_residual_or_compressor(self, rng):
+        truth = synth_stems(rng, seconds=1.0, peak=0.22)
+        gains = GainSpec(3.0, -2.0, MUTE, 1.5)
+        listener = flat_listener(60.0)
+        enhanced, _ = enhance(
+            exact_mix(truth), [truth], gains, listener,
+            EnhanceOptions(use_residual=False, use_compressor_heuristic=False),
+        )
+        reference = build_reference(truth, gains, listener)
+        np.testing.assert_array_equal(reference.samples, enhanced.samples)
+
     def test_matches_enhance_on_oracle_stems(self, rng):
         stems = synth_stems(rng, seconds=1.0)
         mix = exact_mix(stems)
@@ -348,3 +401,16 @@ class TestBatch:
         path.write_text(json.dumps({"jobs": [{"song_id": "x"}]}))
         with pytest.raises(ValueError, match="bad job"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    def test_undecodable_manifest_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "broken_manifest.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="broken_manifest.json"):
+            load_manifest(path)
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"jobs": []}))
+        with pytest.raises(ValueError, match="workers"):
+            run_batch(load_manifest(path), workers=0)
