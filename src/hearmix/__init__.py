@@ -21,7 +21,6 @@ from .audio import (
     ZeroLengthAudioError,
     db_to_linear,
     ensure_aligned,
-    linear_to_db,
     read_wav,
     write_wav,
 )

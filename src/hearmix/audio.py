@@ -1,4 +1,4 @@
-"""Audio buffer representation, WAV file I/O, and dB/linear conversions.
+"""Audio buffer representation, WAV file I/O, and the dB-to-linear gain.
 
 Buffers hold float64 samples in a (channels, frames) array and are treated
 as immutable: every operation returns a new buffer. There is no resampling
@@ -8,7 +8,6 @@ sample rates and raise :class:`AlignmentError` otherwise.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,13 +136,6 @@ def db_to_linear(gain_db: float) -> float:
     return 10.0 ** (gain_db / 20.0)
 
 
-def linear_to_db(factor: float) -> float:
-    """dB gain for a positive amplitude factor."""
-    if factor <= 0.0:
-        raise ValueError(f"linear_to_db needs a positive factor, got {factor}")
-    return 20.0 * math.log10(factor)
-
-
 def _convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Full linear convolution of two 1-D arrays."""
     if kernel.size > _DIRECT_CONVOLUTION_MAX_TAPS:
@@ -217,9 +209,11 @@ def read_wav(path) -> AudioBuffer:
         codes = (codes ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bit
         flat = codes.astype(np.float64) / 2.0**23
     else:
-        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(data, dtype="<f4")
+        # checked before widening: casting a signalling NaN raises FE_INVALID
         if not np.all(np.isfinite(flat)):
             raise WavReadError(f"{path}: float samples contain NaN or Inf")
+        flat = flat.astype(np.float64)
 
     samples = flat.reshape(n_frames, channels).T
     return AudioBuffer(samples, int(rate))

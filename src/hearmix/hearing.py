@@ -237,23 +237,20 @@ def design_nalr_fir(
     return FirFilter(taps, sample_rate)
 
 
-def apply_fir(
-    signal: AudioBuffer, fir: FirFilter, compensate_delay: bool = True
-) -> AudioBuffer:
+def apply_fir(signal: AudioBuffer, fir: FirFilter) -> AudioBuffer:
     """Convolve each channel with the filter, keeping the input length.
 
-    With delay compensation (the default) the output is advanced by the
-    filter's group delay so it stays time-aligned with the input.
+    The output is advanced by the filter's group delay so it stays
+    time-aligned with the input.
     """
     if fir.sample_rate != signal.sample_rate:
         raise ValueError(
             f"filter rate {fir.sample_rate} != signal rate {signal.sample_rate}"
         )
     n = signal.n_frames
-    start = fir.delay if compensate_delay else 0
     out = np.empty_like(signal.samples)
     for ch in range(signal.channels):
-        out[ch] = _convolve(signal.samples[ch], fir.taps)[start : start + n]
+        out[ch] = _convolve(signal.samples[ch], fir.taps)[fir.delay : fir.delay + n]
     return signal.with_samples(out)
 
 

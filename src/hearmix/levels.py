@@ -47,7 +47,6 @@ class ClipReport:
     """Per-channel counts of samples at or beyond full scale."""
 
     per_channel: tuple[int, ...]
-    trigger_threshold: int = CLIP_TRIGGER_COUNT
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class CompressorParams:
     ratio: float = 6.0
     attack_ms: float = 5.0
     release_ms: float = 100.0
-    makeup_db: float = 0.0
 
     def __post_init__(self):
         if self.ratio < 1.0:
@@ -170,8 +168,8 @@ def count_clipped(buffer: AudioBuffer) -> ClipReport:
 
 
 def should_compress(report: ClipReport) -> bool:
-    """True when any channel's clip count reaches the trigger threshold."""
-    return max(report.per_channel) >= report.trigger_threshold
+    """True when any channel's clip count reaches ``CLIP_TRIGGER_COUNT``."""
+    return max(report.per_channel) >= CLIP_TRIGGER_COUNT
 
 
 def _peak_hold(level: np.ndarray, release_alpha: float) -> np.ndarray:
@@ -207,19 +205,22 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     release-decay peak detector; the hard-knee gain computer reduces level
     above the threshold by the ratio; the gain (in dB) is smoothed by a
     one-pole attack/release and applied identically to every channel,
-    followed by makeup gain and the safety clip.
+    followed by the safety clip.
     """
     if params is None:
         params = CompressorParams()
     attack_alpha = math.exp(-1.0 / (buffer.sample_rate * params.attack_ms / 1000.0))
     release_alpha = math.exp(-1.0 / (buffer.sample_rate * params.release_ms / 1000.0))
 
-    level = np.max(np.abs(buffer.samples), axis=0)
-    envelope = _peak_hold(level, release_alpha)
-    envelope_db = 20.0 * np.log10(np.maximum(envelope, 1e-12))
-    over_db = envelope_db - params.threshold_db
+    # each per-frame array is released once the next one exists, so only the
+    # signal and the array being smoothed stay alive through the smoother
+    envelope = _peak_hold(np.max(np.abs(buffer.samples), axis=0), release_alpha)
+    over_db = 20.0 * np.log10(np.maximum(envelope, 1e-12)) - params.threshold_db
+    del envelope
     target_db = np.where(over_db > 0.0, (1.0 / params.ratio - 1.0) * over_db, 0.0)
-    gain_db = _smooth_gain_db(target_db, attack_alpha, release_alpha)
+    del over_db
+    gain = 10.0 ** (_smooth_gain_db(target_db, attack_alpha, release_alpha) / 20.0)
 
-    gain = 10.0 ** ((gain_db + params.makeup_db) / 20.0)
-    return buffer.with_samples(np.clip(buffer.samples * gain, -1.0, 1.0))
+    out = buffer.samples * gain
+    np.clip(out, -1.0, 1.0, out=out)
+    return buffer.with_samples(out)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -12,7 +12,7 @@ from .stems import TRACK_NAMES, StemSet
 
 SDR_CAP_DB = 100.0
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,12 @@ class EnhanceReport:
     compressor_applied: bool = False
     stages: list[str] = field(default_factory=list)
     options: dict[str, Any] = field(default_factory=dict)
-    overall_sdr_db: float | None = None
-    per_track_sdr_db: dict[str, float] | None = None
     error: str | None = None
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "song_id": self.song_id,
-            "input_loudness_lufs": self.input_loudness_lufs,
+            **asdict(self),
             "clipped_samples": list(self.clipped_samples),
-            "clip_trigger_threshold": self.clip_trigger_threshold,
-            "compressor_applied": self.compressor_applied,
             "stages": list(self.stages),
-            "options": self.options,
-            "overall_sdr_db": self.overall_sdr_db,
-            "per_track_sdr_db": self.per_track_sdr_db,
-            "error": self.error,
         }

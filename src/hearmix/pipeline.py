@@ -14,17 +14,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .audio import (
-    FLOAT_32,
-    AudioBuffer,
-    WavFormat,
-    db_to_linear,
-    ensure_aligned,
-    read_wav,
-    write_wav,
-)
+from .audio import AudioBuffer, db_to_linear, ensure_aligned, read_wav, write_wav
 from .hearing import DEFAULT_NALR_TAPS, Listener, load_listener, nalr_process
 from .levels import (
+    CLIP_TRIGGER_COUNT,
     CompressorParams,
     UndefinedLoudnessError,
     compress,
@@ -85,10 +78,15 @@ class GainSpec:
         }
 
 
+def _reject_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def _read_json(path):
+    """Parse a UTF-8 JSON file, refusing Python's NaN/Infinity extensions."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and NaN/Infinity
         raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
 
 
@@ -119,14 +117,10 @@ class EnhanceOptions:
     use_residual: bool = True
     use_compressor_heuristic: bool = True
     ensemble_weights: tuple[float, ...] | None = None
-    blend_weight: float = 0.5
     n_taps: int = DEFAULT_NALR_TAPS
     compressor: CompressorParams = field(default_factory=CompressorParams)
-    output_format: str = FLOAT_32
 
     def __post_init__(self):
-        if not 0.0 <= self.blend_weight <= 1.0:
-            raise ValueError(f"blend_weight must be in [0, 1], got {self.blend_weight}")
         if self.ensemble_weights is not None:
             object.__setattr__(self, "ensemble_weights", tuple(self.ensemble_weights))
 
@@ -173,7 +167,7 @@ def _front_end(
     stems = ensemble_average(stem_sets, options.ensemble_weights)
     stages.append("ensemble")
     if options.use_residual:
-        blended = blend_other(stems.other, compute_residual(mix, stems), options.blend_weight)
+        blended = blend_other(stems.other, compute_residual(mix, stems))
         stems = stems.with_track("other", blended)
         stages.append("residual")
     remixed = remix(stems, gains)
@@ -201,6 +195,8 @@ def enhance(
     if len(stem_sets) == 0:
         raise ValueError("enhance needs at least one stem set")
     ensure_aligned(mix, stem_sets[0].vocals, what="mix and stems")
+    if mix.channels != 2:
+        raise ValueError(f"enhance needs a stereo mix, got {mix.channels} channel(s)")
 
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(mix)
@@ -211,7 +207,7 @@ def enhance(
 
     clip_report = count_clipped(signal)
     report.clipped_samples = clip_report.per_channel
-    report.clip_trigger_threshold = clip_report.trigger_threshold
+    report.clip_trigger_threshold = CLIP_TRIGGER_COUNT
     report.stages.append("clip_check")
 
     if options.use_compressor_heuristic and should_compress(clip_report):
@@ -286,7 +282,30 @@ def load_manifest(path) -> BatchManifest:
             raise ValueError(f"{path}: duplicate song id {song_id!r}")
         seen.add(song_id)
         jobs.append(job)
+    _reject_output_collisions(path, jobs)
     return BatchManifest(jobs=tuple(jobs), base_dir=base)
+
+
+def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
+    """Two jobs writing one file, or a job overwriting a mix, is fatal: the
+    threads would race and every job would still report success."""
+    writers: dict[Path, int] = {}
+    for i, job in enumerate(jobs):
+        out = job.output_path.resolve()
+        if out in writers:
+            j = writers[out]
+            raise ValueError(
+                f"{path}: jobs #{j} ({jobs[j].song_id!r}) and #{i} ({job.song_id!r}) "
+                f"both write {job.output_path}"
+            )
+        writers[out] = i
+    for j, job in enumerate(jobs):
+        i = writers.get(job.mix_path.resolve())
+        if i is not None:
+            raise ValueError(
+                f"{path}: job #{i} ({jobs[i].song_id!r}) writes {jobs[i].output_path}, "
+                f"the mix of job #{j} ({job.song_id!r})"
+            )
 
 
 def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
@@ -297,9 +316,8 @@ def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceRe
     gains = load_gains(job.gains_path)
     listener = load_listener(job.listener_path)
     output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)
-    fmt = WavFormat(options.output_format, output.sample_rate, output.channels)
     job.output_path.parent.mkdir(parents=True, exist_ok=True)
-    write_wav(output, job.output_path, fmt)
+    write_wav(output, job.output_path)
     return report
 
 

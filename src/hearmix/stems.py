@@ -182,18 +182,15 @@ def compute_residual(mix: AudioBuffer, stems: StemSet) -> AudioBuffer:
     return mix.with_samples(residual)
 
 
-def blend_other(
-    predicted_other: AudioBuffer, residual: AudioBuffer, weight: float = 0.5
-) -> AudioBuffer:
-    """Average the predicted "other" track with the mixture residual.
+def blend_other(predicted_other: AudioBuffer, residual: AudioBuffer) -> AudioBuffer:
+    """The midpoint of the predicted "other" track and the mixture residual.
 
-    ``weight`` is the share given to the prediction; the default 0.5 is a
-    plain average.
+    Halving is exact, so ``(p + r) * 0.5`` equals ``0.5*p + 0.5*r`` bit for
+    bit outside the subnormal range, with one song-sized array instead of two.
     """
     ensure_aligned(predicted_other, residual, what="predicted other and residual")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"blend weight must be in [0, 1], got {weight}")
-    blended = weight * predicted_other.samples + (1.0 - weight) * residual.samples
+    blended = predicted_other.samples + residual.samples
+    blended *= 0.5
     return predicted_other.with_samples(blended)
 
 

@@ -42,7 +42,7 @@ class TestEnhanceCommand:
         )
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["stages"][0] == "ensemble"
         out = read_wav(song / "enhanced.wav")
         assert out.channels == 2

@@ -232,11 +232,6 @@ class TestApplyFir:
                 out.samples[ch], direct, rtol=0, atol=1e-12 * np.max(np.abs(direct))
             )
 
-    def test_uncompensated_output_is_delayed(self, rng):
-        x = make_buffer(rng.normal(0, 0.3, (1, 500)))
-        out = apply_fir(x, _delta_filter(n_taps=21), compensate_delay=False)
-        np.testing.assert_array_equal(out.samples[0, 10:], x.samples[0, :-10])
-
     def test_sine_gain_matches_prescription(self):
         gains = nalr_insertion_gains(FLAT_60)
         fir = design_nalr_fir(AUDIOMETRIC_FREQUENCIES, gains, 141, 44100)

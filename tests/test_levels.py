@@ -182,9 +182,8 @@ class TestClipCounting:
         left = np.zeros(30_000)
         left[:25_000] = 1.0
         buf = make_buffer(np.stack([left, np.zeros_like(left)]))
-        report = count_clipped(buf)
-        assert report.per_channel == (25_000, 0)
-        assert report.trigger_threshold == CLIP_TRIGGER_COUNT == 25_000
+        assert count_clipped(buf).per_channel == (25_000, 0)
+        assert CLIP_TRIGGER_COUNT == 25_000
 
     def test_negative_full_scale_counts(self):
         left = np.zeros(30_000)
@@ -267,8 +266,3 @@ class TestCompressor:
                 np.abs(scaled.samples) <= np.abs(reference.samples) + 1e-6
             )
 
-    def test_makeup_gain(self):
-        tone = sine_buffer(500.0, 0.3, amplitude=0.1)
-        out = compress(tone, CompressorParams(threshold_db=-6.0, makeup_db=6.0))
-        expected = np.clip(tone.samples * 10 ** (6 / 20), -1.0, 1.0)
-        np.testing.assert_allclose(out.samples, expected, rtol=1e-12)

@@ -26,6 +26,7 @@ from hearmix import (
     run_batch,
     sdr,
 )
+from hearmix import pipeline
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
 from util import (
     ZERO_LISTENER,
@@ -92,7 +93,17 @@ class TestGainSpec:
         with pytest.raises(ValueError, match="vocals"):
             load_gains(path)
 
-    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"{",
+            b"\xff\xfe{}",
+            b'{"vocals": NaN, "drums": 0, "bass": 0, "other": 0}',
+            b'{"vocals": 0, "drums": Infinity, "bass": 0, "other": 0}',
+            b'{"vocals": 0, "drums": 0, "bass": -Infinity, "other": 0}',
+        ],
+        ids=["bad_json", "not_utf8", "nan", "infinity", "minus_infinity"],
+    )
     def test_load_gains_undecodable_file_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_gains.json"
         path.write_bytes(raw)
@@ -122,10 +133,6 @@ class TestRemix:
 
 
 class TestEnhanceOptions:
-    def test_blend_weight_validated(self):
-        with pytest.raises(ValueError):
-            EnhanceOptions(blend_weight=1.5)
-
     def test_echo_round_trips_to_dict(self):
         opts = EnhanceOptions(ensemble_weights=(1.0, 2.0), use_residual=False)
         echo = opts.as_dict()
@@ -253,15 +260,23 @@ class TestEnhance:
         with pytest.raises(AlignmentError):
             enhance(mix, [stems], UNIT_GAINS, ZERO_LISTENER)
 
+    def test_mono_mix_rejected_before_the_front_end(self, rng, monkeypatch):
+        def front_end_ran(*args, **kwargs):
+            raise AssertionError("ensemble_average ran on a mono mix")
+
+        monkeypatch.setattr(pipeline, "ensemble_average", front_end_ran)
+        stems = synth_stems(rng, seconds=0.5, channels=1)
+        with pytest.raises(ValueError, match="stereo"):
+            enhance(exact_mix(stems), [stems], UNIT_GAINS, ZERO_LISTENER)
+
     def test_report_echoes_options(self, rng):
         stems = synth_stems(rng, seconds=0.5)
         mix = exact_mix(stems)
-        options = EnhanceOptions(use_residual=False, blend_weight=0.25)
+        options = EnhanceOptions(use_residual=False)
         _, report = enhance(mix, [stems], UNIT_GAINS, ZERO_LISTENER, options, song_id="s1")
         assert report.song_id == "s1"
         assert report.options["use_residual"] is False
-        assert report.options["blend_weight"] == 0.25
-        assert report.as_dict()["schema_version"] == 1
+        assert report.as_dict()["schema_version"] == 2
 
 
 class TestPeakMemory:
@@ -276,7 +291,7 @@ class TestPeakMemory:
             mix, enhance, mix, sets, UNIT_GAINS, flat_listener(60.0)
         )
         assert report.compressor_applied
-        assert peak <= 7.5
+        assert peak <= 6.5
 
     def test_build_reference_holds_few_buffers(self, rng):
         truth = synth_stems(rng, seconds=3.0, peak=0.22)
@@ -402,12 +417,41 @@ class TestBatch:
         with pytest.raises(ValueError, match="bad job"):
             load_manifest(path)
 
-    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"{",
+            b"\xff\xfe{}",
+            b'{"jobs": [{"song_id": "a", "mix": "a.wav", "gains": "g.json", '
+            b'"listener": "l.json", "out": "out/a.wav", '
+            b'"stems": [{"kind": "noisy_oracle", "path": "a", "snr_db": NaN, "seed": 1}]}]}',
+        ],
+        ids=["bad_json", "not_utf8", "nan_snr"],
+    )
     def test_undecodable_manifest_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_manifest.json"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="broken_manifest.json"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "job, out",
+        [
+            (1, "out/song0.wav"),
+            (1, "out/../out/./song0.wav"),
+            (1, "song0/mix.wav"),
+            (0, "song1/mix.wav"),
+        ],
+        ids=["same_out", "same_out_resolved", "out_is_earlier_mix", "out_is_later_mix"],
+    )
+    def test_output_collision_fatal(self, tmp_path, rng, job, out):
+        path = self._manifest(tmp_path, rng, n_jobs=2)
+        doc = json.loads(path.read_text())
+        doc["jobs"][job]["out"] = out
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"manifest\.json: ") as caught:
+            load_manifest(path)
+        assert "'song0'" in str(caught.value) and "'song1'" in str(caught.value)
 
     def test_workers_below_one_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

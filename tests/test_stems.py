@@ -216,14 +216,6 @@ class TestBlendOther:
         )
         assert improvement == pytest.approx(6.02, abs=0.1)
 
-    def test_custom_weight(self, rng):
-        p = make_buffer(rng.normal(0, 0.1, (2, 50)))
-        r = make_buffer(rng.normal(0, 0.1, (2, 50)))
-        np.testing.assert_array_equal(blend_other(p, r, weight=1.0).samples, p.samples)
-        np.testing.assert_array_equal(blend_other(p, r, weight=0.0).samples, r.samples)
-        with pytest.raises(ValueError):
-            blend_other(p, r, weight=1.5)
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
