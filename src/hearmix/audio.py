@@ -1,4 +1,5 @@
-"""Audio buffer representation, WAV file I/O, and the dB-to-linear gain.
+"""Audio buffer representation, WAV file I/O, the dB-to-linear gain, and
+the strict JSON reader shared by the gains, listener and manifest loaders.
 
 Buffers hold float64 samples in a (channels, frames) array and are treated
 as immutable: every operation returns a new buffer. There is no resampling
@@ -8,6 +9,7 @@ sample rates and raise :class:`AlignmentError` otherwise.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +143,18 @@ def _convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kernel.size > _DIRECT_CONVOLUTION_MAX_TAPS:
         return oaconvolve(signal, kernel, mode="full")
     return np.convolve(signal, kernel, mode="full")
+
+
+def _reject_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+def _read_json(path):
+    """Parse a UTF-8 JSON file, refusing Python's NaN/Infinity extensions."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and NaN/Infinity
+        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
 
 
 def read_wav(path) -> AudioBuffer:

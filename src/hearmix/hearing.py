@@ -13,15 +13,13 @@ here are:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.signal import freqz
 
-from .audio import AudioBuffer, _convolve
+from .audio import AudioBuffer, _convolve, _read_json
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -62,6 +60,8 @@ class Audiogram:
             raise ValueError("frequencies and levels must have equal length")
         if len(freqs) == 0:
             raise ValueError("audiogram must not be empty")
+        if not all(np.isfinite(freqs)):
+            raise ValueError("audiogram frequencies must be finite")
         if any(f <= 0 for f in freqs):
             raise ValueError("audiogram frequencies must be positive")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -96,8 +96,8 @@ def load_listener(path) -> Listener:
     Schema: ``{"id": str, "frequencies": [Hz...], "left_db_hl": [...],
     "right_db_hl": [...]}`` with one shared frequency list for both ears.
     """
+    doc = _read_json(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         freqs = tuple(doc["frequencies"])
         return Listener(
             id=str(doc["id"]),

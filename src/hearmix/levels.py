@@ -20,6 +20,11 @@ from .audio import AudioBuffer
 
 CLIP_TRIGGER_COUNT = 25_000
 
+_SCAN_BLOCK = 1024  # samples per block of the gain smoother's scan
+# largest log-decay (nepers) one scan block may span: exp(-600) and its
+# inverse are both finite in float64
+_MAX_BLOCK_DECAY = 600.0
+
 _BLOCK_SECONDS = 0.4
 _HOP_SECONDS = 0.1
 _ABSOLUTE_GATE_LUFS = -70.0
@@ -172,30 +177,74 @@ def should_compress(report: ClipReport) -> bool:
     return max(report.per_channel) >= CLIP_TRIGGER_COUNT
 
 
-def _peak_hold(level: np.ndarray, release_alpha: float) -> np.ndarray:
-    """Peak detector: rises instantly, decays at the release rate.
+def _peak_envelope_db(level_db: np.ndarray, release_log: float) -> np.ndarray:
+    """Peak detector ``y = max(x, alpha*y)`` in dB.
 
+    ``release_log`` is ``log(alpha)``. In dB the detector is a running max
+    of the level, each earlier frame decayed by ``r = -20*log10(alpha)`` dB
+    per sample of age:
+    ``env[i] = max_{j<=i}(level[j] - (i - j)*r) = cummax(level + j*r)[i] - i*r``.
     Holding through waveform troughs keeps the gain computer on the crest
     level, so a sustained tone settles onto the static curve instead of
     pumping within each cycle.
     """
-    envelope = np.empty_like(level)
-    state = 0.0
-    for i, value in enumerate(level.tolist()):
-        state = value if value > state else release_alpha * state
-        envelope[i] = state
+    decay_db = -20.0 * math.log10(math.e) * release_log
+    if level_db.size:
+        # once one sample's decay spans the level's whole range no earlier
+        # frame can win the max, so the cap changes nothing but keeps the
+        # ramp, and its rounding, small for very short releases
+        decay_db = min(decay_db, float(np.ptp(level_db)))
+    ramp = np.arange(level_db.size) * decay_db
+    envelope = level_db + ramp
+    np.maximum.accumulate(envelope, out=envelope)
+    envelope -= ramp
+    # the j == i term exactly, which adding and removing the ramp can round
+    np.maximum(envelope, level_db, out=envelope)
     return envelope
 
 
-def _smooth_gain_db(target_db: np.ndarray, attack_alpha: float, release_alpha: float) -> np.ndarray:
-    """One-pole smoothing of the gain trajectory, switching attack/release."""
-    smoothed = np.empty_like(target_db)
+def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float) -> np.ndarray:
+    """One-pole smoothing of the gain trajectory, switching attack/release.
+
+    ``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]``, where ``a[i]`` is the attack
+    coefficient ``exp(attack_log)`` when ``t[i] < y[i-1]`` and the release
+    one ``exp(release_log)`` otherwise.
+    Computed in place, block by block: guess attack wherever a target lies
+    below the carried state, solve the now linear recurrence as
+    ``y = P*(y0 + cumsum((1 - a)*t/P))`` with ``P = exp(cumsum(log a))``,
+    then re-derive each choice from the solution. Every sample before the
+    first disagreement is exact, so that prefix is kept and the next block
+    starts after it; the first guess of a block is always right, so each
+    block keeps at least one sample.
+    """
+    # indexed by the attack choice: 0 release, 1 attack
+    one_minus = 1.0 - np.exp([release_log, attack_log])
+    log_alpha = np.maximum([release_log, attack_log], -_MAX_BLOCK_DECAY)
+    # P falls by at most exp(-_MAX_BLOCK_DECAY) over a block, so 1/P stays finite
+    decay = -float(log_alpha.min())
+    block = _SCAN_BLOCK
+    if decay * _SCAN_BLOCK > _MAX_BLOCK_DECAY:
+        block = max(1, int(_MAX_BLOCK_DECAY / decay))
+
     state = 0.0
-    for i, value in enumerate(target_db.tolist()):
-        alpha = attack_alpha if value < state else release_alpha
-        state = alpha * state + (1.0 - alpha) * value
-        smoothed[i] = state
-    return smoothed
+    start = 0
+    while start < target_db.size:
+        target = target_db[start : start + block]
+        attack = (target < state).view(np.uint8)
+        p = np.cumsum(log_alpha.take(attack))
+        np.exp(p, out=p)
+        y = one_minus.take(attack)
+        y *= target
+        y /= p
+        np.cumsum(y, out=y)
+        y += state
+        y *= p
+        wrong = attack[1:] != (target[1:] < y[:-1])
+        keep = int(wrong.argmax()) + 1 if wrong.any() else target.size
+        state = float(y[keep - 1])
+        target[:keep] = y[:keep]
+        start += keep
+    return target_db
 
 
 def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> AudioBuffer:
@@ -209,17 +258,25 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     """
     if params is None:
         params = CompressorParams()
-    attack_alpha = math.exp(-1.0 / (buffer.sample_rate * params.attack_ms / 1000.0))
-    release_alpha = math.exp(-1.0 / (buffer.sample_rate * params.release_ms / 1000.0))
+    attack_log = -1.0 / (buffer.sample_rate * params.attack_ms / 1000.0)
+    release_log = -1.0 / (buffer.sample_rate * params.release_ms / 1000.0)
 
-    # each per-frame array is released once the next one exists, so only the
-    # signal and the array being smoothed stay alive through the smoother
-    envelope = _peak_hold(np.max(np.abs(buffer.samples), axis=0), release_alpha)
-    over_db = 20.0 * np.log10(np.maximum(envelope, 1e-12)) - params.threshold_db
-    del envelope
-    target_db = np.where(over_db > 0.0, (1.0 / params.ratio - 1.0) * over_db, 0.0)
-    del over_db
-    gain = 10.0 ** (_smooth_gain_db(target_db, attack_alpha, release_alpha) / 20.0)
+    # each frame-sized array is computed in place or released once the next
+    # exists, so at most three are alive beside the signal
+    level = np.abs(buffer.samples[0])
+    for channel in buffer.samples[1:]:
+        np.maximum(level, np.abs(channel), out=level)
+    np.maximum(level, 1e-12, out=level)
+    np.log10(level, out=level)
+    level *= 20.0
+    over_db = _peak_envelope_db(level, release_log)
+    del level
+    over_db -= params.threshold_db
+    np.maximum(over_db, 0.0, out=over_db)
+    over_db *= 1.0 / params.ratio - 1.0
+    gain = _smooth_gain_db(over_db, attack_log, release_log)
+    gain /= 20.0
+    np.power(10.0, gain, out=gain)
 
     out = buffer.samples * gain
     np.clip(out, -1.0, 1.0, out=out)

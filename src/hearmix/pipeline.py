@@ -6,7 +6,6 @@ clip. Also builds ground-truth references and runs manifest batches.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -14,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, db_to_linear, ensure_aligned, read_wav, write_wav
+from .audio import AudioBuffer, _read_json, db_to_linear, ensure_aligned, read_wav, write_wav
 from .hearing import DEFAULT_NALR_TAPS, Listener, load_listener, nalr_process
 from .levels import (
     CLIP_TRIGGER_COUNT,
@@ -78,18 +77,6 @@ class GainSpec:
         }
 
 
-def _reject_constant(literal: str):
-    raise ValueError(f"{literal} is not a JSON number")
-
-
-def _read_json(path):
-    """Parse a UTF-8 JSON file, refusing Python's NaN/Infinity extensions."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and NaN/Infinity
-        raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
-
-
 def load_gains(path) -> GainSpec:
     """Load a gains JSON file: {"vocals": dB|"mute", "drums": ..., ...}."""
     doc = _read_json(path)
@@ -139,6 +126,11 @@ def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     for name in rest:
         acc += db_to_linear(gains.gain(name)) * stems.track(name).samples
     return stems.vocals.with_samples(acc)
+
+
+def _require_stereo(signal: AudioBuffer, caller: str) -> None:
+    if signal.channels != 2:
+        raise ValueError(f"{caller} needs a stereo mix, got {signal.channels} channel(s)")
 
 
 def _loudness_target(mixture: AudioBuffer) -> float:
@@ -195,8 +187,7 @@ def enhance(
     if len(stem_sets) == 0:
         raise ValueError("enhance needs at least one stem set")
     ensure_aligned(mix, stem_sets[0].vocals, what="mix and stems")
-    if mix.channels != 2:
-        raise ValueError(f"enhance needs a stereo mix, got {mix.channels} channel(s)")
+    _require_stereo(mix, "enhance")
 
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(mix)
@@ -231,6 +222,7 @@ def build_reference(
     """
     if options is None:
         options = EnhanceOptions()
+    _require_stereo(true_stems.vocals, "build_reference")
     target = _loudness_target(remix(true_stems, GainSpec(0.0, 0.0, 0.0, 0.0)))
     return _normalize_and_amplify(remix(true_stems, gains), target, listener, options.n_taps)
 

@@ -47,6 +47,13 @@ class TestAudiogram:
         with pytest.raises(ValueError, match="finite"):
             Audiogram((500.0, 1000.0, 2000.0), (0.0, np.nan, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_requires_finite_frequencies(self, bad):
+        # NaN passes both the positive and the ascending check
+        freqs = (bad, 500.0, 1000.0, 2000.0) if np.isnan(bad) else (500.0, 1000.0, 2000.0, bad)
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            Audiogram(freqs, (0.0,) * 4)
+
     def test_level_at(self):
         assert FLAT_60.level_at(1000.0) == 60.0
         with pytest.raises(KeyError):
@@ -88,7 +95,18 @@ class TestListenerFile:
         with pytest.raises(ValueError, match="listener.json"):
             load_listener(path)
 
-    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"], ids=["bad_json", "not_utf8"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"{",
+            b"\xff\xfe{}",
+            b'{"id": "L", "frequencies": [NaN, 500, 1000, 2000], '
+            b'"left_db_hl": [1, 2, 3, 4], "right_db_hl": [1, 2, 3, 4]}',
+            b'{"id": "L", "frequencies": [500, 1000, 2000], '
+            b'"left_db_hl": [1, 2, 3], "right_db_hl": [1, Infinity, 3]}',
+        ],
+        ids=["bad_json", "not_utf8", "nan_frequency", "infinity_level"],
+    )
     def test_undecodable_file_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_listener.json"
         path.write_bytes(raw)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import bilinear, lfilter, sosfilt
@@ -17,6 +19,9 @@ from hearmix import (
 )
 from hearmix import levels
 from util import make_buffer, sine_buffer
+
+# the scan and running max may differ from the loops by float rounding only
+ORACLE_TOL_DB = 1e-9
 
 
 def reference_loudness(samples: np.ndarray, rate: int) -> float | None:
@@ -266,3 +271,116 @@ class TestCompressor:
                 np.abs(scaled.samples) <= np.abs(reference.samples) + 1e-6
             )
 
+
+
+def peak_detector_loop(level: np.ndarray, alpha: float) -> np.ndarray:
+    """Test oracle: the standard peak detector y = max(x, alpha*y), one
+    sample at a time (Giannoulis, Massberg & Reiss, JAES 2012)."""
+    envelope = np.empty_like(level)
+    state = 0.0
+    for i, value in enumerate(level.tolist()):
+        state = max(value, alpha * state)
+        envelope[i] = state
+    return envelope
+
+
+def smoother_loop(target_db: np.ndarray, attack_alpha: float, release_alpha: float) -> np.ndarray:
+    """Test oracle: the attack/release one-pole gain smoother, one sample at a
+    time, switching to attack when the target lies below the state."""
+    smoothed = np.empty_like(target_db)
+    state = 0.0
+    for i, value in enumerate(target_db.tolist()):
+        alpha = attack_alpha if value < state else release_alpha
+        state = alpha * state + (1.0 - alpha) * value
+        smoothed[i] = state
+    return smoothed
+
+
+def compressor_loop(samples, rate, params):
+    """Test oracle: the compressor's gain in dB, built from the two loops."""
+    attack_alpha = math.exp(-1.0 / (rate * params.attack_ms / 1000.0))
+    release_alpha = math.exp(-1.0 / (rate * params.release_ms / 1000.0))
+    envelope = peak_detector_loop(np.max(np.abs(samples), axis=0), release_alpha)
+    over_db = 20.0 * np.log10(np.maximum(envelope, 1e-12)) - params.threshold_db
+    target_db = np.where(over_db > 0.0, (1.0 / params.ratio - 1.0) * over_db, 0.0)
+    return smoother_loop(target_db, attack_alpha, release_alpha)
+
+
+def _white_noise(rng):
+    return rng.normal(0.0, 0.5, (2, 20_000))
+
+
+def _sustained_tone(rng):
+    return sine_buffer(440.0, 0.5, amplitude=1.2).samples
+
+
+def _burst_then_silence(rng):
+    # the gain recovers at the release rate through the silence
+    burst = rng.normal(0.0, 0.8, (2, 4_000))
+    return np.concatenate([burst, np.zeros((2, 20_000))], axis=1)
+
+
+def _noise_of_length(n):
+    return lambda rng: rng.normal(0.0, 0.6, (2, n))
+
+
+_B = levels._SCAN_BLOCK
+ORACLE_INPUTS = {
+    "white_noise": _white_noise,
+    "sustained_tone": _sustained_tone,
+    "burst_then_silence": _burst_then_silence,
+    **{f"noise_{n}": _noise_of_length(n) for n in (0, 1, _B - 1, _B, _B + 1)},
+}
+ORACLE_PARAMS = {
+    "default": CompressorParams(),
+    # a window of 264 samples keeps the scan's exp(cumsum(log a)) finite
+    "fast": CompressorParams(threshold_db=-12.0, ratio=4.0, attack_ms=0.01, release_ms=0.05),
+    # both coefficients underflow to 0: the output follows the static curve
+    "instant": CompressorParams(attack_ms=1e-5, release_ms=1e-5),
+}
+
+
+class TestCompressorOracles:
+    """The running max and the blockwise scan against the per-sample loops."""
+
+    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
+    def test_detector_matches_loop(self, rng, make, params):
+        samples = make(rng)
+        release_log = -1.0 / (44100 * params.release_ms / 1000.0)
+        level = np.max(np.abs(samples), axis=0)
+        expected = 20.0 * np.log10(np.maximum(peak_detector_loop(level, math.exp(release_log)), 1e-12))
+        level_db = 20.0 * np.log10(np.maximum(level, 1e-12))
+        ours = levels._peak_envelope_db(level_db, release_log)
+        np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
+
+    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
+    def test_smoother_matches_loop(self, rng, make, params):
+        samples = make(rng)
+        attack_log = -1.0 / (44100 * params.attack_ms / 1000.0)
+        release_log = -1.0 / (44100 * params.release_ms / 1000.0)
+        # a target that dips and recovers at many rates, with ties at 0 dB
+        target = np.minimum(0.0, -20.0 * np.abs(samples[0]) + 6.0)
+        expected = smoother_loop(target, math.exp(attack_log), math.exp(release_log))
+        ours = levels._smooth_gain_db(target.copy(), attack_log, release_log)
+        np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
+
+    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
+    def test_compress_matches_loops(self, rng, make, params):
+        samples = make(rng)
+        gain_db = compressor_loop(samples, 44100, params)
+        expected = np.clip(samples * 10.0 ** (gain_db / 20.0), -1.0, 1.0)
+        out = compress(make_buffer(samples), params).samples
+        # ORACLE_TOL_DB of gain is a relative amplitude error of 1.2e-10;
+        # the clip can only shrink a difference
+        assert np.all(np.abs(out - expected) <= 1.2e-10 * np.abs(samples))
+
+    def test_envelope_never_below_the_current_level(self, rng):
+        # a frame just under the held state: the loop that decayed to
+        # alpha*state whenever x <= state dropped below x here
+        level = np.concatenate([[1.0, 1.0 - 1e-7], rng.uniform(0.01, 1.0, 20_000)])
+        level_db = 20.0 * np.log10(level)
+        ours = levels._peak_envelope_db(level_db.copy(), -1.0 / (44100 * 0.1))
+        assert np.all(ours >= level_db)

@@ -16,6 +16,7 @@ from hearmix import (
     NoisyOracleStemProvider,
     UndefinedLoudnessError,
     build_reference,
+    compress,
     enhance,
     integrated_loudness,
     load_gains,
@@ -300,8 +301,25 @@ class TestPeakMemory:
         )
         assert peak <= 4.5
 
+    def test_compress_holds_few_buffers(self, rng):
+        # the output is one buffer; the detector and smoother add frame-sized
+        # arrays (half a stereo buffer each) and per-block scratch
+        song = make_buffer(rng.normal(0.0, 0.6, (2, 3 * 44100)))
+        _, peak = _peak_buffers(song, compress, song)
+        assert peak <= 2.0
+
 
 class TestBuildReference:
+    def test_mono_stems_rejected_before_any_stage(self, rng, monkeypatch):
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("build_reference ran a stage on mono stems")
+
+        monkeypatch.setattr(pipeline, "remix", stage_ran)
+        monkeypatch.setattr(pipeline, "normalize_to_loudness", stage_ran)
+        stems = synth_stems(rng, seconds=0.5, channels=1)
+        with pytest.raises(ValueError, match="build_reference needs a stereo mix"):
+            build_reference(stems, UNIT_GAINS, ZERO_LISTENER)
+
     def test_is_enhance_without_residual_or_compressor(self, rng):
         truth = synth_stems(rng, seconds=1.0, peak=0.22)
         gains = GainSpec(3.0, -2.0, MUTE, 1.5)
