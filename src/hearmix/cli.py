@@ -26,7 +26,7 @@ from .pipeline import (
     run_job,
 )
 from .spatial import apply_crosstalk, load_kernel
-from .stems import DirectoryStemProvider, salient_segments
+from .stems import TRACK_NAMES, DirectoryStemProvider, salient_segments
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -150,10 +150,11 @@ def _cmd_batch(args) -> int:
 
 
 def _add_compressor_flags(parser) -> None:
-    parser.add_argument("--comp-threshold", type=float, default=-6.0, metavar="DB")
-    parser.add_argument("--comp-ratio", type=float, default=6.0, metavar="R")
-    parser.add_argument("--comp-attack", type=float, default=5.0, metavar="MS")
-    parser.add_argument("--comp-release", type=float, default=100.0, metavar="MS")
+    defaults = CompressorParams()
+    parser.add_argument("--comp-threshold", type=float, default=defaults.threshold_db, metavar="DB")
+    parser.add_argument("--comp-ratio", type=float, default=defaults.ratio, metavar="R")
+    parser.add_argument("--comp-attack", type=float, default=defaults.attack_ms, metavar="MS")
+    parser.add_argument("--comp-release", type=float, default=defaults.release_ms, metavar="MS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segments", help="select windows where one track dominates")
     p.add_argument("--stems", required=True)
-    p.add_argument("--track", required=True, choices=["vocals", "drums", "bass", "other"])
+    p.add_argument("--track", required=True, choices=TRACK_NAMES)
     p.add_argument("--seconds", type=float, default=6.0)
     p.add_argument("--threshold", type=float, default=0.1)
     p.add_argument("--report", required=True)

@@ -130,14 +130,17 @@ class FirFilter:
         return (self.taps.size - 1) // 2
 
 
-def _correction_db(frequencies: np.ndarray) -> np.ndarray:
-    """NAL-R correction at arbitrary frequencies.
+def _log_f_interp(f: np.ndarray, anchor_f: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Linear in log-frequency between anchors, edges held. Frequencies
+    below the first anchor, 0 Hz included, are raised to it before the log."""
+    return np.interp(np.log(np.maximum(f, anchor_f[0])), np.log(anchor_f), values)
 
-    Linear in log-frequency between table anchors, clamped at the edges.
-    """
+
+def _correction_db(frequencies: np.ndarray) -> np.ndarray:
+    """NAL-R correction at arbitrary frequencies."""
     table_f = np.array(sorted(NALR_CORRECTION_DB))
     table_c = np.array([NALR_CORRECTION_DB[f] for f in table_f])
-    return np.interp(np.log(frequencies), np.log(table_f), table_c)
+    return _log_f_interp(frequencies, table_f, table_c)
 
 
 def nalr_insertion_gains(audiogram: Audiogram) -> np.ndarray:
@@ -155,20 +158,6 @@ def nalr_insertion_gains(audiogram: Audiogram) -> np.ndarray:
     )
     corrections = _correction_db(np.array(audiogram.frequencies))
     return np.maximum(0.0, x + NALR_SLOPE * levels + corrections)
-
-
-def _target_response_db(
-    anchor_hz: np.ndarray, anchor_db: np.ndarray, grid_hz: np.ndarray
-) -> np.ndarray:
-    """Gain target on a frequency grid: log-f interpolation, edges held."""
-    out = np.empty_like(grid_hz)
-    below = grid_hz <= anchor_hz[0]
-    above = grid_hz >= anchor_hz[-1]
-    inside = ~(below | above)
-    out[below] = anchor_db[0]
-    out[above] = anchor_db[-1]
-    out[inside] = np.interp(np.log(grid_hz[inside]), np.log(anchor_hz), anchor_db)
-    return out
 
 
 def _frequency_sample(magnitude: np.ndarray, n_taps: int) -> np.ndarray:
@@ -227,7 +216,7 @@ def design_nalr_fir(
     adjusted = gains.copy()
     taps = None
     for _ in range(_DESIGN_MAX_ITER):
-        target_db = _target_response_db(anchors, adjusted, grid_hz)
+        target_db = _log_f_interp(grid_hz, anchors, adjusted)
         taps = _frequency_sample(10.0 ** (target_db / 20.0), n_taps)
         _, response = freqz(taps, worN=anchors[correctable], fs=sample_rate)
         error = 20.0 * np.log10(np.maximum(np.abs(response), 1e-12)) - gains[correctable]

@@ -64,6 +64,10 @@ class CompressorParams:
     release_ms: float = 100.0
 
     def __post_init__(self):
+        for name in ("threshold_db", "ratio", "attack_ms", "release_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.ratio < 1.0:
             raise ValueError(f"ratio must be >= 1, got {self.ratio}")
         if self.attack_ms <= 0.0 or self.release_ms <= 0.0:

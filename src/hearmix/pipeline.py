@@ -9,7 +9,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .metrics import EnhanceReport
 from .stems import (
     TRACK_NAMES,
     StemSet,
+    _spec_files,
+    _track_averages,
     blend_other,
-    compute_residual,
-    ensemble_average,
     provider_from_spec,
 )
 
@@ -154,17 +154,35 @@ def _front_end(
     options: EnhanceOptions,
     stages: list[str],
 ) -> AudioBuffer:
-    """Ensemble, residual repair and remix. The intermediate stem sets are
-    freed when this returns, so the rest of the chain holds one signal."""
-    stems = ensemble_average(stem_sets, options.ensemble_weights)
+    """Ensemble, residual repair and remix in one pass over the tracks.
+
+    One averaged track is alive at a time, beside the running residual and
+    the output. Every operation runs in the order of ``ensemble_average`` →
+    ``compute_residual`` → ``blend_other`` → ``remix``, so the result is
+    the same bits as composing them.
+    """
+    residual = mix.samples.copy() if options.use_residual else None
+    out = None
+    for name, track in _track_averages(stem_sets, options.ensemble_weights):
+        if residual is not None:
+            if name == "other":  # the last track: the residual is complete
+                track = blend_other(track, mix.with_samples(residual))
+                residual = None
+            else:
+                residual -= track.samples
+        # the averaged track is this loop's own, so it is scaled in place
+        scaled = track.samples
+        scaled *= db_to_linear(gains.gain(name))
+        if out is None:
+            out = scaled
+        else:
+            out += scaled
+        del track, scaled  # dropped before the next track is averaged
     stages.append("ensemble")
     if options.use_residual:
-        blended = blend_other(stems.other, compute_residual(mix, stems))
-        stems = stems.with_track("other", blended)
         stages.append("residual")
-    remixed = remix(stems, gains)
     stages.append("remix")
-    return remixed
+    return mix.with_samples(out)
 
 
 def enhance(
@@ -278,9 +296,20 @@ def load_manifest(path) -> BatchManifest:
     return BatchManifest(jobs=tuple(jobs), base_dir=base)
 
 
+def _job_inputs(job: BatchJob, base: Path) -> Iterator[tuple[str, Path]]:
+    """Every file a job reads, with what it is; stem specs resolve against ``base``."""
+    yield "mix", job.mix_path
+    yield "gains file", job.gains_path
+    yield "listener file", job.listener_path
+    for spec in job.stem_specs:
+        for name, file in _spec_files(spec, base).items():
+            yield f"{name} stem", file
+
+
 def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
-    """Two jobs writing one file, or a job overwriting a mix, is fatal: the
-    threads would race and every job would still report success."""
+    """Two jobs writing one file, or a job overwriting any job's input
+    (its own included), is fatal: the threads would race and every job
+    would still report success."""
     writers: dict[Path, int] = {}
     for i, job in enumerate(jobs):
         out = job.output_path.resolve()
@@ -292,12 +321,13 @@ def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
             )
         writers[out] = i
     for j, job in enumerate(jobs):
-        i = writers.get(job.mix_path.resolve())
-        if i is not None:
-            raise ValueError(
-                f"{path}: job #{i} ({jobs[i].song_id!r}) writes {jobs[i].output_path}, "
-                f"the mix of job #{j} ({job.song_id!r})"
-            )
+        for what, source in _job_inputs(job, path.parent):
+            i = writers.get(source.resolve())
+            if i is not None:
+                raise ValueError(
+                    f"{path}: job #{i} ({jobs[i].song_id!r}) writes {jobs[i].output_path}, "
+                    f"the {what} of job #{j} ({job.song_id!r})"
+                )
 
 
 def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:

@@ -9,9 +9,9 @@ noise for controlled experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class StemSet:
     def as_dict(self) -> dict[str, AudioBuffer]:
         return {name: getattr(self, name) for name in TRACK_NAMES}
 
-    def with_track(self, name: str, buffer: AudioBuffer) -> "StemSet":
-        if name not in TRACK_NAMES:
-            raise ValueError(f"unknown track {name!r}; expected one of {TRACK_NAMES}")
-        return replace(self, **{name: buffer})
-
     @property
     def sample_rate(self) -> int:
         return self.vocals.sample_rate
@@ -73,10 +68,12 @@ class DirectoryStemProvider:
     def __init__(self, directory):
         self.directory = Path(directory)
 
+    def files(self) -> dict[str, Path]:
+        return {name: self.directory / f"{name}.wav" for name in TRACK_NAMES}
+
     def stems(self) -> StemSet:
         buffers = {}
-        for name in TRACK_NAMES:
-            path = self.directory / f"{name}.wav"
+        for name, path in self.files().items():
             if not path.exists():
                 raise FileNotFoundError(f"missing stem file: {path}")
             buffers[name] = read_wav(path)
@@ -134,14 +131,32 @@ def provider_from_spec(spec, base_dir=None):
     raise ValueError(f"unknown stem provider kind {kind!r}")
 
 
+def _spec_files(spec, base_dir: Path) -> dict[str, Path]:
+    """The stem files a manifest spec reads, by track; none when the spec
+    names no folder (``provider_from_spec`` rejects it when the job runs)."""
+    folder = spec.get("path") if isinstance(spec, Mapping) else spec
+    if not isinstance(folder, str):
+        return {}
+    return DirectoryStemProvider(base_dir / folder).files()
+
+
 def ensemble_average(
     stem_sets: Sequence[StemSet], weights: Sequence[float] | None = None
 ) -> StemSet:
     """Track-by-track weighted mean of several stem sets.
 
-    Weights default to equal, must be non-negative with a positive sum, and
-    are normalized to sum to 1.
+    Weights default to equal, must be finite and non-negative with a
+    positive sum, and are normalized to sum to 1.
     """
+    return StemSet(**dict(_track_averages(stem_sets, weights)))
+
+
+def _track_averages(
+    stem_sets: Sequence[StemSet], weights: Sequence[float] | None
+) -> Iterator[tuple[str, AudioBuffer]]:
+    """Validate the ensemble once, then yield ``(name, weighted mean)`` one
+    track at a time, in ``TRACK_NAMES`` order. Each mean is a fresh buffer
+    that no other code holds."""
     if len(stem_sets) == 0:
         raise ValueError("ensemble_average needs at least one stem set")
     # each set is internally aligned, so one track pins the whole set
@@ -155,6 +170,8 @@ def ensemble_average(
                 f"got {len(weights)} weights for {len(stem_sets)} stem sets"
             )
         w = np.asarray(weights, dtype=np.float64)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("ensemble weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("ensemble weights must be non-negative")
     total = w.sum()
@@ -163,14 +180,13 @@ def ensemble_average(
 
     # sum first, divide once: keeps equal-weight averages and one-hot
     # selections exact
-    averaged = {}
     for name in TRACK_NAMES:
         acc = np.zeros_like(stem_sets[0].track(name).samples)
         for weight, stem_set in zip(w, stem_sets):
             acc += weight * stem_set.track(name).samples
         acc /= total
-        averaged[name] = stem_sets[0].track(name).with_samples(acc)
-    return StemSet(**averaged)
+        yield name, stem_sets[0].track(name).with_samples(acc)
+        del acc  # the caller may drop the track before asking for the next
 
 
 def compute_residual(mix: AudioBuffer, stems: StemSet) -> AudioBuffer:

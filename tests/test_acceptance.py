@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def test_criterion_4_compressor_ablation():
         base = synth_stems(rng2, seconds=2.0, peak=0.1)
         spiked = np.array(base.other.samples)
         spiked[0, 5000 : 5000 + n_spikes] += 2.0
-        planted = base.with_track("other", base.other.with_samples(quantize(spiked)))
+        planted = replace(base, other=base.other.with_samples(quantize(spiked)))
         planted_mix = exact_mix(planted)
         _, rep = enhance(planted_mix, [planted], UNIT_GAINS, ZERO_LISTENER)
         return rep

@@ -5,8 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from hearmix import AudioBuffer, identity_kernel, read_wav, write_wav
-from hearmix.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from hearmix import AudioBuffer, CompressorParams, identity_kernel, read_wav, write_wav
+from hearmix.cli import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    EXIT_USAGE,
+    _options_from_args,
+    build_parser,
+    main,
+)
 from util import (
     ZERO_LISTENER,
     exact_mix,
@@ -90,6 +98,29 @@ class TestEnhanceCommand:
         assert report["options"]["n_taps"] == 201
         assert report["options"]["compressor"]["threshold_db"] == -9.0
         assert "residual" not in report["stages"]
+
+    def test_nan_compressor_flag_fails_before_the_chain(self, song, capsys):
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--gains", str(song / "gains.json"),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+                "--comp-attack", "nan",
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert "attack_ms must be finite" in capsys.readouterr().err
+        assert not (song / "enhanced.wav").exists()
+
+    def test_compressor_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(
+            ["enhance", "--mix", "m.wav", "--stems", "s", "--gains", "g.json",
+             "--listener", "l.json", "--out", "o.wav"]
+        )
+        assert _options_from_args(args).compressor == CompressorParams()
 
     def test_missing_file_fails_cleanly(self, song, capsys):
         rc = main(

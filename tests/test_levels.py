@@ -227,6 +227,12 @@ class TestCompressor:
         with pytest.raises(ValueError):
             CompressorParams(release_ms=-1.0)
 
+    @pytest.mark.parametrize("field", ["threshold_db", "ratio", "attack_ms", "release_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_params_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CompressorParams(**{field: value})
+
     def test_below_threshold_is_identity(self, rng):
         buf = make_buffer(rng.uniform(-0.4, 0.4, (2, 20_000)))
         out = compress(buf, CompressorParams(threshold_db=-6.0))

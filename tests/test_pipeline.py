@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from hearmix import (
     Listener,
     NoisyOracleStemProvider,
     UndefinedLoudnessError,
+    blend_other,
     build_reference,
     compress,
+    compute_residual,
     enhance,
+    ensemble_average,
     integrated_loudness,
     load_gains,
     load_manifest,
@@ -133,6 +137,37 @@ class TestRemix:
         assert err <= 1e-4 * np.linalg.norm(expected)
 
 
+class TestFrontEnd:
+    """The one-pass front end against the composition of the public stages."""
+
+    @pytest.mark.parametrize("use_residual", [True, False], ids=["residual", "no_residual"])
+    @pytest.mark.parametrize(
+        "gains",
+        [UNIT_GAINS, GainSpec(3.0, MUTE, -4.5, 1.25), GainSpec(MUTE, MUTE, MUTE, MUTE)],
+        ids=["unit", "mixed_mute", "all_mute"],
+    )
+    @pytest.mark.parametrize(
+        "k, weights", [(1, None), (3, None), (3, (0.2, 1.5, 0.7))], ids=["k1", "k3", "k3_weighted"]
+    )
+    def test_bit_identical_to_the_stage_composition(self, rng, k, weights, gains, use_residual):
+        truth = synth_stems(rng, seconds=0.2)
+        mix = exact_mix(truth)
+        sets = [NoisyOracleStemProvider(truth, 10.0, seed=s).stems() for s in range(k)]
+        options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
+
+        averaged = ensemble_average(sets, weights)
+        if use_residual:
+            repaired = blend_other(averaged.other, compute_residual(mix, averaged))
+            averaged = replace(averaged, other=repaired)
+        expected = remix(averaged, gains).samples
+
+        stages = []
+        out = pipeline._front_end(mix, sets, gains, options, stages).samples
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert stages == (["ensemble", "residual", "remix"] if use_residual else ["ensemble", "remix"])
+
+
 class TestEnhanceOptions:
     def test_echo_round_trips_to_dict(self):
         opts = EnhanceOptions(ensemble_weights=(1.0, 2.0), use_residual=False)
@@ -175,8 +210,8 @@ class TestEnhance:
         stems = synth_stems(rng, seconds=1.0)
         mix = exact_mix(stems)
         noise = rng.normal(0, 0.02, stems.other.samples.shape)
-        corrupted = stems.with_track(
-            "other", stems.other.with_samples(stems.other.samples + noise)
+        corrupted = replace(
+            stems, other=stems.other.with_samples(stems.other.samples + noise)
         )
         reference, _ = enhance(mix, [stems], UNIT_GAINS, ZERO_LISTENER, NO_COMP)
         on, _ = enhance(mix, [corrupted], UNIT_GAINS, ZERO_LISTENER, NO_COMP)
@@ -263,9 +298,9 @@ class TestEnhance:
 
     def test_mono_mix_rejected_before_the_front_end(self, rng, monkeypatch):
         def front_end_ran(*args, **kwargs):
-            raise AssertionError("ensemble_average ran on a mono mix")
+            raise AssertionError("the ensemble ran on a mono mix")
 
-        monkeypatch.setattr(pipeline, "ensemble_average", front_end_ran)
+        monkeypatch.setattr(pipeline, "_track_averages", front_end_ran)
         stems = synth_stems(rng, seconds=0.5, channels=1)
         with pytest.raises(ValueError, match="stereo"):
             enhance(exact_mix(stems), [stems], UNIT_GAINS, ZERO_LISTENER)
@@ -292,7 +327,7 @@ class TestPeakMemory:
             mix, enhance, mix, sets, UNIT_GAINS, flat_listener(60.0)
         )
         assert report.compressor_applied
-        assert peak <= 6.5
+        assert peak <= 4.5
 
     def test_build_reference_holds_few_buffers(self, rng):
         truth = synth_stems(rng, seconds=3.0, peak=0.22)
@@ -470,6 +505,35 @@ class TestBatch:
         with pytest.raises(ValueError, match=r"manifest\.json: ") as caught:
             load_manifest(path)
         assert "'song0'" in str(caught.value) and "'song1'" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "writer, out, reader, spec",
+        [
+            (0, "song0/stems/other.wav", 0, None),
+            (1, "song0/stems/vocals.wav", 0, None),
+            (0, "song1/stems/bass.wav", 1, "directory"),
+            (1, "song1/stems/drums.wav", 1, "noisy_oracle"),
+            (1, "gains.json", 0, None),
+            (0, "listener.json", 0, None),
+        ],
+        ids=["own_stem", "other_job_stem", "directory_spec_stem", "noisy_oracle_spec_stem",
+             "gains_file", "listener_file"],
+    )
+    def test_output_onto_an_input_fatal(self, tmp_path, rng, writer, out, reader, spec):
+        path = self._manifest(tmp_path, rng, n_jobs=2)
+        doc = json.loads(path.read_text())
+        if spec is not None:
+            folder = doc["jobs"][reader]["stems"][0]
+            doc["jobs"][reader]["stems"] = [
+                {"kind": spec, "path": folder, "snr_db": 10.0, "seed": 1}
+            ]
+        doc["jobs"][writer]["out"] = out
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"manifest\.json: ") as caught:
+            load_manifest(path)
+        message = str(caught.value)
+        assert f"job #{writer} ('song{writer}')" in message
+        assert f"of job #{reader} ('song{reader}')" in message
 
     def test_workers_below_one_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
