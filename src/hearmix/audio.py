@@ -10,6 +10,8 @@ sample rates and raise :class:`AlignmentError` otherwise.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +27,19 @@ _SUPPORTED_BIT_DEPTHS = (PCM_16, PCM_24, FLOAT_32)
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+
+# bytes 2-15 of a KSDATAFORMAT_SUBTYPE GUID that wraps a plain format tag;
+# bytes 0-1 hold the tag itself
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+# (format tag, bits per sample) that read_wav decodes
+_READABLE_CODECS = {
+    (_WAVE_FORMAT_PCM, 16),
+    (_WAVE_FORMAT_PCM, 24),
+    (_WAVE_FORMAT_PCM, 32),
+    (_WAVE_FORMAT_IEEE_FLOAT, 32),
+}
 
 # kernel length up to which direct convolution beats overlap-add on
 # song-length signals; the two agree to float rounding, and direct keeps
@@ -37,7 +52,7 @@ class WavReadError(ValueError):
 
 
 class UnsupportedCodecError(WavReadError):
-    """The file declares a codec outside PCM 16/24-bit or IEEE float32."""
+    """The file declares a codec outside PCM 16/24/32-bit or IEEE float32."""
 
 
 class TruncatedFileError(WavReadError):
@@ -158,10 +173,12 @@ def _read_json(path):
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a RIFF/WAVE file (PCM 16/24-bit or IEEE float32).
+    """Read a RIFF/WAVE file (PCM 16/24/32-bit or IEEE float32, plain or
+    WAVE_FORMAT_EXTENSIBLE).
 
     Integer samples are scaled to floats by 1 / 2^(bits-1). Chunks other
-    than fmt/data are skipped.
+    than fmt/data are skipped. Samples are decoded straight from the file's
+    bytes, without copying the data chunk first.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -170,7 +187,7 @@ def read_wav(path) -> AudioBuffer:
         raise WavReadError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    data = None
+    data = None  # (start, size) of the data chunk's body in raw
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
@@ -179,51 +196,50 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             if size < 16 or body_start + 16 > len(raw):
                 raise TruncatedFileError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
+            fmt = struct.unpack_from("<HHIIHH", raw, body_start), body_start, size
         elif chunk_id == b"data":
             if body_start + size > len(raw):
                 raise TruncatedFileError(
                     f"{path}: data chunk declares {size} bytes, file has fewer"
                 )
-            data = raw[body_start : body_start + size]
+            data = body_start, size
         pos = body_start + size + (size & 1)
 
     if fmt is None or data is None:
         raise WavReadError(f"{path}: missing fmt or data chunk")
 
-    tag, channels, rate, _byte_rate, block_align, bits = fmt
+    (tag, channels, rate, _byte_rate, block_align, bits), fmt_start, fmt_size = fmt
     if channels < 1 or rate <= 0:
         raise WavReadError(f"{path}: invalid fmt chunk (channels={channels}, rate={rate})")
-    if (tag, bits) == (_WAVE_FORMAT_PCM, 16):
-        bytes_per_sample = 2
-    elif (tag, bits) == (_WAVE_FORMAT_PCM, 24):
-        bytes_per_sample = 3
-    elif (tag, bits) == (_WAVE_FORMAT_IEEE_FLOAT, 32):
-        bytes_per_sample = 4
-    else:
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        tag = _extensible_subformat(path, raw, fmt_start, fmt_size)
+    if (tag, bits) not in _READABLE_CODECS:
         raise UnsupportedCodecError(
             f"{path}: unsupported codec (format tag {tag}, {bits}-bit); "
-            "supported: PCM 16/24-bit, IEEE float32"
+            "supported: PCM 16/24/32-bit, IEEE float32"
         )
 
-    frame_bytes = bytes_per_sample * channels
+    start, size = data
+    frame_bytes = bits // 8 * channels
     if block_align not in (0, frame_bytes):
         raise WavReadError(f"{path}: block_align {block_align} != {frame_bytes}")
-    if len(data) % frame_bytes != 0:
+    if size % frame_bytes != 0:
         raise TruncatedFileError(f"{path}: data chunk holds a partial frame")
-    n_frames = len(data) // frame_bytes
+    n_frames = size // frame_bytes
     if n_frames == 0:
         raise ZeroLengthAudioError(f"{path}: zero-length audio")
 
-    if bytes_per_sample == 2:
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2.0**15
-    elif bytes_per_sample == 3:
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        codes = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        codes = (codes ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bit
-        flat = codes.astype(np.float64) / 2.0**23
+    count = n_frames * channels
+    if bits == 24:
+        # each 3-byte sample is the top of an int32 that starts one byte
+        # early; the arithmetic shift drops that stray byte (a header byte
+        # for the first sample, start >= 20) and sign-extends 24 -> 32 bit
+        codes = np.ndarray((count,), "<i4", buffer=raw, offset=start - 1, strides=(3,)) >> 8
+        flat = codes / 2.0**23
+    elif tag == _WAVE_FORMAT_PCM:
+        flat = np.frombuffer(raw, f"<i{bits // 8}", count, start) / 2.0 ** (bits - 1)
     else:
-        flat = np.frombuffer(data, dtype="<f4")
+        flat = np.frombuffer(raw, "<f4", count, start)
         # checked before widening: casting a signalling NaN raises FE_INVALID
         if not np.all(np.isfinite(flat)):
             raise WavReadError(f"{path}: float samples contain NaN or Inf")
@@ -231,6 +247,29 @@ def read_wav(path) -> AudioBuffer:
 
     samples = flat.reshape(n_frames, channels).T
     return AudioBuffer(samples, int(rate))
+
+
+def _extensible_subformat(path, raw: bytes, fmt_start: int, fmt_size: int) -> int:
+    """The plain format tag a WAVE_FORMAT_EXTENSIBLE fmt chunk wraps; the
+    caller's codec check then accepts only PCM and IEEE float.
+
+    The extension follows the 16 common bytes: cbSize, valid bits, channel
+    mask, then the 16-byte SubFormat GUID at offset 24. Valid bits are not
+    read: samples stay left-justified in their container either way.
+    """
+    if fmt_size < 40:
+        raise WavReadError(
+            f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk holds {fmt_size} bytes, needs 40"
+        )
+    guid = raw[fmt_start + 24 : fmt_start + 40]
+    if len(guid) < 16:
+        raise TruncatedFileError(f"{path}: fmt chunk truncated")
+    if guid[2:] != _SUBFORMAT_GUID_TAIL:
+        raise UnsupportedCodecError(
+            f"{path}: unsupported codec (WAVE_FORMAT_EXTENSIBLE subformat {guid.hex()})"
+        )
+    (subformat,) = struct.unpack_from("<H", guid)
+    return subformat
 
 
 def write_wav(buffer: AudioBuffer, path, fmt: WavFormat | None = None) -> None:
@@ -280,11 +319,26 @@ def write_wav(buffer: AudioBuffer, path, fmt: WavFormat | None = None) -> None:
     chunks = [fmt_chunk]
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         chunks.append(struct.pack("<4sII", b"fact", 4, buffer.n_frames))
-    data_chunk = struct.pack("<4sI", b"data", len(payload)) + payload
+    chunks += [struct.pack("<4sI", b"data", len(payload)), payload]
     if len(payload) & 1:
-        data_chunk += b"\x00"
-    chunks.append(data_chunk)
+        chunks.append(b"\x00")
 
-    body = b"".join(chunks)
-    header = struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE")
-    Path(path).write_bytes(header + body)
+    riff_size = 4 + sum(len(chunk) for chunk in chunks)
+    _write_atomically(Path(path), [struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"), *chunks])
+
+
+def _write_atomically(path: Path, chunks: list[bytes]) -> None:
+    """Write the chunks to a fresh file in the target folder, then rename it
+    onto ``path``: readers see the old file or the whole new one, never a
+    part. On any error the temporary file is removed and ``path`` is left
+    as it was."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fp = open(tmp, "xb")
+    try:
+        with fp:
+            for chunk in chunks:
+                fp.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

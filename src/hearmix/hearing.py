@@ -13,6 +13,7 @@ here are:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,10 @@ DEFAULT_NALR_TAPS = 141
 
 _DESIGN_MAX_ITER = 12
 _DESIGN_TOL_DB = 0.05
+
+# distinct (ear, taps, rate) designs kept for reuse: a listener panel's
+# worth of ears, at about 1 kB of taps each
+_NALR_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -251,8 +256,22 @@ def nalr_process(
         raise ValueError(f"NAL-R processing needs stereo input, got {buffer.channels} channel(s)")
     out = np.empty_like(buffer.samples)
     for ch, audiogram in enumerate((listener.left, listener.right)):
-        gains = nalr_insertion_gains(audiogram)
-        fir = design_nalr_fir(audiogram.frequencies, gains, n_taps, buffer.sample_rate)
+        fir = _nalr_fir(audiogram, n_taps, buffer.sample_rate)
         channel = AudioBuffer(buffer.samples[ch : ch + 1], buffer.sample_rate)
         out[ch] = apply_fir(channel, fir).samples[0]
     return buffer.with_samples(out)
+
+
+@functools.lru_cache(maxsize=_NALR_CACHE_SIZE)
+def _nalr_fir(audiogram: Audiogram, n_taps: int, sample_rate: int) -> FirFilter:
+    """One ear's NAL-R filter, designed once per (audiogram, taps, rate).
+
+    Audiograms are frozen and compare by value, so listeners that share an
+    ear share its design. The taps are made read-only, since every caller,
+    on any thread, gets the same array. Two threads that miss together may
+    both design; they get equal filters.
+    """
+    gains = nalr_insertion_gains(audiogram)
+    fir = design_nalr_fir(audiogram.frequencies, gains, n_taps, sample_rate)
+    fir.taps.flags.writeable = False
+    return fir

@@ -146,7 +146,7 @@ def ensemble_average(
     """Track-by-track weighted mean of several stem sets.
 
     Weights default to equal, must be finite and non-negative with a
-    positive sum, and are normalized to sum to 1.
+    positive, finite sum, and are normalized to sum to 1.
     """
     return StemSet(**dict(_track_averages(stem_sets, weights)))
 
@@ -174,7 +174,10 @@ def _track_averages(
             raise ValueError("ensemble weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("ensemble weights must be non-negative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"ensemble weights must have a finite sum, got {total}")
     if total <= 0.0:
         raise ValueError("ensemble weights must not all be zero")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import uuid
 import wave
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from hearmix import audio
 from hearmix import (
     FLOAT_32,
     PCM_16,
@@ -30,6 +32,53 @@ from util import make_buffer, quantize
 
 def _fmt(buffer, depth):
     return WavFormat(depth, buffer.sample_rate, buffer.channels)
+
+
+# format tags of the WAVE fmt chunk
+PCM, IEEE_FLOAT, EXTENSIBLE = 1, 3, 0xFFFE
+
+
+def _subformat(tag: int) -> bytes:
+    """KSDATAFORMAT_SUBTYPE GUID for a plain format tag, as stored on disk."""
+    return uuid.UUID(f"{tag:08x}-0000-0010-8000-00aa00389b71").bytes_le
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return struct.pack("<4sI", chunk_id, len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def _fmt_chunk(tag, channels, bits, subformat=None, rate=44100):
+    """A 16-byte fmt chunk, or a 40-byte WAVE_FORMAT_EXTENSIBLE one when
+    ``subformat`` (a GUID) is given."""
+    block_align = channels * bits // 8
+    common = struct.pack("<HHIIHH", tag, channels, rate, rate * block_align, block_align, bits)
+    if subformat is None:
+        return _chunk(b"fmt ", common)
+    return _chunk(b"fmt ", common + struct.pack("<HHI", 22, bits, 0) + subformat)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"".join(chunks)
+    return struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body
+
+
+def _encode(samples: np.ndarray, tag: int, bits: int) -> bytes:
+    """Interleaved payload of (channels, frames) samples; integers saturate."""
+    interleaved = samples.T.ravel()
+    if tag == IEEE_FLOAT:
+        return interleaved.astype("<f4").tobytes()
+    top = 2 ** (bits - 1)
+    codes = np.clip(np.rint(interleaved * top), -top, top - 1).astype(np.int64)
+    return b"".join(int(c).to_bytes(bits // 8, "little", signed=True) for c in codes)
+
+
+def _wav_bytes(samples, tag, bits, extensible=False):
+    channels = samples.shape[0]
+    if extensible:
+        fmt = _fmt_chunk(EXTENSIBLE, channels, bits, _subformat(tag))
+    else:
+        fmt = _fmt_chunk(tag, channels, bits)
+    return _riff(fmt, _chunk(b"data", _encode(samples, tag, bits)))
 
 
 class TestAudioBuffer:
@@ -180,6 +229,114 @@ class TestReadWav:
             read_wav(path)
 
 
+class TestPcm24DecodeOracle:
+    """24-bit PCM against a per-sample oracle that shares no code with the
+    reader's strided view: each 3-byte group read as a signed integer."""
+
+    EDGE_CODES = (0x800000, 0x7FFFFF, 0xFFFFFF, 0x000000)
+
+    @staticmethod
+    def _oracle(payload: bytes, channels: int) -> np.ndarray:
+        values = [
+            int.from_bytes(payload[i : i + 3], "little", signed=True) / 2**23
+            for i in range(0, len(payload), 3)
+        ]
+        return np.array(values).reshape(-1, channels).T
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["data_after_fmt", "data_after_odd_chunk", "data_first"])
+    def test_matches_oracle(self, tmp_path, rng, channels, layout):
+        codes = [c for c in self.EDGE_CODES for _ in range(channels)]
+        codes += rng.integers(0, 2**24, 50 * channels).tolist()
+        payload = b"".join(c.to_bytes(3, "little") for c in codes)
+        fmt, data = _fmt_chunk(PCM, channels, 24), _chunk(b"data", payload)
+        if layout == "data_after_fmt":
+            raw = _riff(fmt, data)
+        elif layout == "data_after_odd_chunk":
+            # 3-byte body plus its pad byte right before the data chunk
+            raw = _riff(fmt, _chunk(b"LIST", b"\xff\xfe\xfd"), data)
+        else:
+            raw = _riff(data, fmt)
+        path = tmp_path / "pcm24.wav"
+        path.write_bytes(raw)
+        out = read_wav(path)
+        expected = self._oracle(payload, channels)
+        np.testing.assert_array_equal(out.samples, expected)
+        edges = [-1.0, 1 - 2**-23, -(2**-23), 0.0]
+        np.testing.assert_array_equal(out.samples[:, :4], [edges] * channels)
+
+
+class TestWavFormats:
+    """WAVE_FORMAT_EXTENSIBLE and 32-bit integer PCM."""
+
+    @pytest.mark.parametrize(
+        "tag, bits",
+        [(PCM, 16), (PCM, 24), (PCM, 32), (IEEE_FLOAT, 32)],
+        ids=["pcm16", "pcm24", "pcm32", "float32"],
+    )
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_extensible_decodes_like_the_plain_format(self, tmp_path, rng, tag, bits, channels):
+        samples = rng.uniform(-1.2, 1.2, (channels, 100))
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(_wav_bytes(samples, tag, bits))
+        extensible.write_bytes(_wav_bytes(samples, tag, bits, extensible=True))
+        out = read_wav(extensible)
+        np.testing.assert_array_equal(out.samples, read_wav(plain).samples)
+        # scipy.io.wavfile as the independent reader of the extensible layout
+        _, data = wavfile.read(extensible)
+        scale = 1.0 if tag == IEEE_FLOAT else 2.0 ** (bits - 1)
+        if bits == 24:
+            scale = 2.0**31  # scipy scales 24-bit into int32
+        decoded = data.astype(np.float64).reshape(100, channels).T / scale
+        np.testing.assert_array_equal(out.samples, decoded)
+
+    def test_pcm32_reads_scaled_by_two_to_minus_31(self, tmp_path):
+        codes = np.array([-(2**31), 2**31 - 1, -1, 0, 1, 123456789], dtype="<i4")
+        path = tmp_path / "int32.wav"
+        path.write_bytes(_riff(_fmt_chunk(PCM, 1, 32), _chunk(b"data", codes.tobytes())))
+        np.testing.assert_array_equal(read_wav(path).samples[0], codes / 2.0**31)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_scipy_int32_round_trip(self, tmp_path, rng, channels):
+        # scipy.io.wavfile as the independent writer
+        codes = rng.integers(-(2**31), 2**31, (300, channels), dtype=np.int64).astype(np.int32)
+        codes[0] = -(2**31)
+        codes[1] = 2**31 - 1
+        path = tmp_path / "scipy_int32.wav"
+        wavfile.write(path, 48000, codes)
+        out = read_wav(path)
+        assert out.sample_rate == 48000 and out.channels == channels
+        np.testing.assert_array_equal(out.samples, codes.T / 2.0**31)
+
+    @pytest.mark.parametrize(
+        "guid",
+        [
+            _subformat(2),  # MS ADPCM
+            _subformat(6),  # A-law
+            uuid.UUID("00000001-0721-11d3-8644-c8c1ca000000").bytes_le,  # ambisonic PCM
+        ],
+        ids=["adpcm", "alaw", "foreign_guid"],
+    )
+    def test_other_subformats_are_unsupported(self, tmp_path, guid):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(_riff(_fmt_chunk(EXTENSIBLE, 2, 16, guid), _chunk(b"data", bytes(8))))
+        with pytest.raises(UnsupportedCodecError, match="ext.wav"):
+            read_wav(path)
+
+    def test_extensible_float64_is_unsupported(self, tmp_path):
+        path = tmp_path / "f64.wav"
+        fmt = _fmt_chunk(EXTENSIBLE, 1, 64, _subformat(IEEE_FLOAT))
+        path.write_bytes(_riff(fmt, _chunk(b"data", bytes(16))))
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+
+    def test_extensible_without_its_extension_is_a_read_error(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(_riff(_fmt_chunk(EXTENSIBLE, 1, 16), _chunk(b"data", bytes(4))))
+        with pytest.raises(WavReadError, match="needs 40"):
+            read_wav(path)
+
+
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.wav"
@@ -212,16 +369,30 @@ class TestReadWavProperty:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        depth=st.sampled_from([PCM_16, PCM_24, FLOAT_32]),
+        layout=st.sampled_from(
+            [
+                PCM_16,
+                PCM_24,
+                FLOAT_32,
+                (PCM, 32, False),
+                (PCM, 16, True),
+                (PCM, 24, True),
+                (PCM, 32, True),
+                (IEEE_FLOAT, 32, True),
+            ]
+        ),
         channels=st.integers(1, 3),
         frames=st.integers(1, 8),
         data=st.data(),
     )
-    def test_mutated_valid_files(self, fuzz_path, depth, channels, frames, data):
+    def test_mutated_valid_files(self, fuzz_path, layout, channels, frames, data):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         samples = np.random.default_rng(seed).uniform(-1.5, 1.5, (channels, frames))
-        write_wav(make_buffer(samples), fuzz_path, WavFormat(depth, 44100, channels))
-        raw = bytearray(fuzz_path.read_bytes())
+        if isinstance(layout, str):  # a format write_wav writes
+            write_wav(make_buffer(samples), fuzz_path, WavFormat(layout, 44100, channels))
+            raw = bytearray(fuzz_path.read_bytes())
+        else:  # 32-bit PCM or WAVE_FORMAT_EXTENSIBLE, which only read_wav supports
+            raw = bytearray(_wav_bytes(samples, *layout))
         edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
         for index, value in data.draw(st.lists(edits, max_size=8), label="edits"):
             raw[index] = value
@@ -321,3 +492,69 @@ class TestWriteWav:
     def test_bad_bit_depth_rejected(self):
         with pytest.raises(ValueError):
             WavFormat("pcm8", 44100, 2)
+
+
+class _DiskFullAfterFirstWrite:
+    """A file whose second write fails, as on a disk that fills up midway."""
+
+    def __init__(self, fp):
+        self.fp = fp
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fp.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.fp.write(chunk)
+
+
+class TestAtomicWrite:
+    @pytest.fixture
+    def fill_disk(self, monkeypatch):
+        """Call to make every later write_wav fail after its first write."""
+
+        def arm():
+            # shadows the builtin open inside hearmix.audio only
+            monkeypatch.setattr(
+                audio, "open", lambda *a, **k: _DiskFullAfterFirstWrite(open(*a, **k)), raising=False
+            )
+
+        return arm
+
+    def test_failed_write_leaves_no_output_and_no_temporary(self, tmp_path, fill_disk):
+        fill_disk()
+        with pytest.raises(OSError, match="No space"):
+            write_wav(make_buffer(np.zeros((2, 64))), tmp_path / "out.wav")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_an_existing_output_untouched(self, tmp_path, fill_disk):
+        path = tmp_path / "out.wav"
+        write_wav(make_buffer(np.full((2, 64), 0.25)), path)
+        before = path.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="No space"):
+            write_wav(make_buffer(np.zeros((2, 128))), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_rename_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(audio.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_wav(make_buffer(np.zeros((1, 8))), tmp_path / "out.wav")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrite_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "out.wav"
+        write_wav(make_buffer(np.zeros((2, 4096))), path, WavFormat(PCM_24, 44100, 2))
+        write_wav(make_buffer(np.full((1, 3), 0.5)), path)
+        np.testing.assert_array_equal(read_wav(path).samples, [[0.5, 0.5, 0.5]])
+        assert list(tmp_path.iterdir()) == [path]

@@ -115,6 +115,23 @@ class TestEnhanceCommand:
         assert "attack_ms must be finite" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
+    def test_weights_whose_sum_overflows_fail_without_output(self, song, capsys):
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--stems", str(song / "stems"),
+                "--gains", str(song / "gains.json"),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+                "--weights", "1e308,1e308",
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert "ensemble weights must have a finite sum" in capsys.readouterr().err
+        assert not (song / "enhanced.wav").exists()
+
     def test_compressor_flag_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(
             ["enhance", "--mix", "m.wav", "--stems", "s", "--gains", "g.json",

@@ -18,6 +18,7 @@ from hearmix import (
     nalr_insertion_gains,
     nalr_process,
 )
+from hearmix import hearing
 from util import flat_listener, make_buffer, response_db, sine_buffer
 
 FLAT_60 = Audiogram(AUDIOMETRIC_FREQUENCIES, (60.0,) * 6)
@@ -320,3 +321,51 @@ class TestNalrProcess:
         x = make_buffer(rng.normal(0, 0.05, (1, 1000)))
         with pytest.raises(ValueError, match="stereo"):
             nalr_process(x, flat_listener(0.0))
+
+
+MILD = Audiogram(AUDIOMETRIC_FREQUENCIES, (10.0, 15.0, 20.0, 30.0, 35.0, 40.0))
+SEVERE = Audiogram(AUDIOMETRIC_FREQUENCIES, (50.0, 60.0, 70.0, 80.0, 90.0, 95.0))
+
+
+class TestNalrDesignCache:
+    @pytest.mark.parametrize("n_taps", [141, 301])
+    @pytest.mark.parametrize(
+        "listener",
+        [Listener("zero", ZERO, ZERO), Listener("mild", MILD, FLAT_60), Listener("severe", SEVERE, MILD)],
+        ids=lambda listener: listener.id,
+    )
+    def test_matches_an_uncached_design(self, rng, listener, n_taps):
+        x = make_buffer(rng.normal(0, 0.1, (2, 3000)))
+        expected = []
+        for ch, ear in enumerate((listener.left, listener.right)):
+            fir = design_nalr_fir(ear.frequencies, nalr_insertion_gains(ear), n_taps, 44100)
+            expected.append(apply_fir(make_buffer(x.samples[ch : ch + 1]), fir).samples[0])
+        for _ in range(2):  # the second pass is served from the cache
+            out = nalr_process(x, listener, n_taps)
+            np.testing.assert_array_equal(out.samples, expected)
+
+    def test_cached_taps_are_read_only(self):
+        fir = hearing._nalr_fir(MILD, 141, 44100)
+        with pytest.raises(ValueError, match="read-only"):
+            fir.taps[fir.delay] = 0.0
+        assert hearing._nalr_fir(MILD, 141, 44100) is fir
+
+    def test_equal_audiograms_share_one_design(self, monkeypatch):
+        calls = []
+        real = hearing.design_nalr_fir
+        monkeypatch.setattr(
+            hearing, "design_nalr_fir", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        hearing._nalr_fir.cache_clear()
+        x = make_buffer(np.zeros((2, 500)))
+        twin = Audiogram(tuple(MILD.frequencies), tuple(MILD.levels_db_hl))
+        nalr_process(x, Listener("a", MILD, SEVERE))
+        nalr_process(x, Listener("b", twin, SEVERE))
+        nalr_process(x, Listener("c", SEVERE, twin), n_taps=201)
+        assert len(calls) == 4  # (MILD, 141), (SEVERE, 141), (SEVERE, 201), (MILD, 201)
+
+    def test_public_designer_is_not_cached(self):
+        first = design_nalr_fir(MILD.frequencies, nalr_insertion_gains(MILD))
+        second = design_nalr_fir(MILD.frequencies, nalr_insertion_gains(MILD))
+        assert first.taps is not second.taps
+        first.taps[0] = 0.0  # a caller's own design stays writeable

@@ -31,7 +31,7 @@ from hearmix import (
     run_batch,
     sdr,
 )
-from hearmix import pipeline
+from hearmix import hearing, pipeline
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
 from util import (
     ZERO_LISTENER,
@@ -455,6 +455,28 @@ class TestBatch:
         assert [r.song_id for r in serial] == [r.song_id for r in parallel]
         for a, b in zip(serial, parallel):
             assert a.input_loudness_lufs == b.input_loudness_lufs
+
+    def test_shared_listeners_design_each_ear_once(self, tmp_path, rng, monkeypatch):
+        path = self._manifest(tmp_path, rng, n_jobs=4)
+        doc = json.loads(path.read_text())
+        for job in doc["jobs"][1::2]:
+            job["listener"] = "listener_b.json"
+        path.write_text(json.dumps(doc))
+        mild = Audiogram(AUDIOMETRIC_FREQUENCIES, (5.0, 10.0, 20.0, 30.0, 30.0, 35.0))
+        write_listener_file(tmp_path / "listener.json", Listener("a", mild, ZERO_LISTENER.left))
+        severe = Audiogram(AUDIOMETRIC_FREQUENCIES, (40.0, 50.0, 60.0, 70.0, 80.0, 85.0))
+        write_listener_file(tmp_path / "listener_b.json", Listener("b", severe, mild))
+
+        calls = []
+        real = hearing.design_nalr_fir
+        monkeypatch.setattr(
+            hearing, "design_nalr_fir", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        hearing._nalr_fir.cache_clear()
+        # one worker: two threads that miss the cache together may both design
+        reports = run_batch(load_manifest(path), workers=1)
+        assert all(r.error is None for r in reports)
+        assert len(calls) <= 4
 
     def test_duplicate_song_ids_fatal(self, tmp_path, rng):
         path = self._manifest(tmp_path, rng, n_jobs=1)

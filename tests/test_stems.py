@@ -140,6 +140,16 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="ensemble weights must be finite"):
             ensemble_average([stems, stems], weights=[bad, 1.0])
 
+    def test_weights_whose_sum_overflows_rejected(self, rng):
+        stems = synth_stems(rng, seconds=0.05)
+        with pytest.raises(ValueError, match="ensemble weights must have a finite sum"):
+            ensemble_average([stems, stems], weights=(1e308, 1e308))
+
+    def test_largest_weights_with_a_finite_sum_accepted(self, rng):
+        stems = synth_stems(rng, seconds=0.05)
+        out = ensemble_average([stems, stems], weights=(2.0**1022, 2.0**1022))
+        np.testing.assert_array_equal(out.vocals.samples, stems.vocals.samples)
+
 
 class TestComputeResidual:
     def test_exact_stems_leave_other(self, rng):
