@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import oaconvolve
 
 PCM_16 = "pcm16"
 PCM_24 = "pcm24"
@@ -41,10 +40,11 @@ _READABLE_CODECS = {
     (_WAVE_FORMAT_IEEE_FLOAT, 32),
 }
 
-# kernel length up to which direct convolution beats overlap-add on
-# song-length signals; the two agree to float rounding, and direct keeps
-# impulse-like kernels bit-exact
-_DIRECT_CONVOLUTION_MAX_TAPS = 256
+# blocked overlap-add: the smallest FFT size, and how many input blocks are
+# transformed together. Scratch space is a fixed multiple of their product,
+# never of the signal length.
+_FFT_SIZE = 2048
+_BLOCKS_PER_CHUNK = 8
 
 
 class WavReadError(ValueError):
@@ -153,11 +153,91 @@ def db_to_linear(gain_db: float) -> float:
     return 10.0 ** (gain_db / 20.0)
 
 
-def _convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 1-D arrays."""
-    if kernel.size > _DIRECT_CONVOLUTION_MAX_TAPS:
-        return oaconvolve(signal, kernel, mode="full")
-    return np.convolve(signal, kernel, mode="full")
+def _convolve_into(
+    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, start: int
+) -> None:
+    """Write ``out[i] = sum_j (inputs[j] * kernels[i, j])[start : start + n]``,
+    where ``*`` is full linear convolution and n the input length.
+
+    ``inputs`` is (n_in, n), ``kernels`` (n_out, n_in, taps) and ``out``
+    (n_out, n), sharing no memory with ``inputs``. Only the taps that can
+    reach an output sample count. A path with no nonzero tap among them adds
+    nothing; a path with exactly one is an exact scaled shift; every other
+    path goes through a blocked FFT overlap-add (Oppenheim & Schafer,
+    *Discrete-Time Signal Processing*, 8.7) that writes each chunk of the
+    output in place.
+    """
+    n = inputs.shape[1]
+    lo = max(0, start - n + 1)
+    kernels = kernels[:, :, lo : start + n]
+    start -= lo
+    nonzero = np.count_nonzero(kernels, axis=2)
+    fft = nonzero > 1
+    if fft.any():
+        _overlap_add(out, inputs, kernels, fft, start)
+    for i in range(out.shape[0]):
+        written = bool(fft[i].any())
+        for j in np.flatnonzero(nonzero[i] == 1):
+            # out[i, t] += h[tap] * x[t + start - tap] wherever x is defined
+            tap = int(np.flatnonzero(kernels[i, j])[0])
+            value = kernels[i, j, tap]
+            dst = out[i, max(0, tap - start) : min(n, n + tap - start)]
+            src = inputs[j, max(0, start - tap) : min(n, n + start - tap)]
+            if written:
+                # in pieces, so the scaled copy never spans the song
+                for a in range(0, dst.size, _FFT_SIZE):
+                    dst[a : a + _FFT_SIZE] += value * src[a : a + _FFT_SIZE]
+            else:
+                out[i] = 0.0
+                np.multiply(src, value, out=dst)
+                written = True
+        if not written:
+            out[i] = 0.0
+
+
+def _overlap_add(
+    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, paths: np.ndarray, start: int
+) -> None:
+    """``_convolve_into`` by FFT over the paths ``(i, j)`` where ``paths``
+    is true, for the outputs that have any; the others are left untouched.
+    Each chunk of input blocks is transformed once, and each output's chunk
+    inverse-transformed once."""
+    n = inputs.shape[1]
+    taps = kernels.shape[2]
+    size = max(_FFT_SIZE, 1 << (2 * taps - 2).bit_length())  # >= 2 * taps - 1
+    hop = size - taps + 1  # input samples per block, >= taps
+    reads = {i: np.flatnonzero(row) for i, row in enumerate(paths) if row.any()}
+    spectra = np.fft.rfft(kernels, size)
+    tails = np.zeros((out.shape[0], taps - 1))
+    a = 0
+    while a < n:
+        segment = inputs[:, a : a + hop * _BLOCKS_PER_CHUNK]
+        blocks = max(1, segment.shape[1] // hop)
+        if segment.shape[1] < hop:  # the last, partial block
+            segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
+        frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
+        x = np.fft.rfft(frames, size)
+        for i, js in reads.items():
+            acc = x[js[0]] * spectra[i, js[0]]
+            for j in js[1:]:
+                acc += x[j] * spectra[i, j]
+            y = np.fft.irfft(acc, size)
+            del acc
+            y[0, : taps - 1] += tails[i]
+            y[1:, : taps - 1] += y[:-1, hop:]
+            tails[i] = y[-1, hop:]
+            _write_clipped(out[i], y[:, :hop].reshape(-1), a - start)
+        a += blocks * hop
+    for i in reads:
+        _write_clipped(out[i], tails[i], a - start)
+
+
+def _write_clipped(dst: np.ndarray, values: np.ndarray, offset: int) -> None:
+    """``dst[offset + k] = values[k]`` for every k that lands inside ``dst``."""
+    first = max(0, -offset)
+    stop = min(values.size, dst.size - offset)
+    if stop > first:
+        dst[offset + first : offset + stop] = values[first:stop]
 
 
 def _reject_constant(literal: str):

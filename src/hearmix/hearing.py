@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import freqz
 
-from .audio import AudioBuffer, _convolve, _read_json
+from .audio import AudioBuffer, _convolve_into, _read_json
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -231,20 +231,26 @@ def design_nalr_fir(
     return FirFilter(taps, sample_rate)
 
 
-def apply_fir(signal: AudioBuffer, fir: FirFilter) -> AudioBuffer:
+def apply_fir(signal: AudioBuffer, fir: FirFilter | Sequence[FirFilter]) -> AudioBuffer:
     """Convolve each channel with the filter, keeping the input length.
 
-    The output is advanced by the filter's group delay so it stays
-    time-aligned with the input.
+    ``fir`` is one filter for every channel, or a sequence of filters, one
+    per channel. The output is advanced by each filter's group delay so it
+    stays time-aligned with the input.
     """
-    if fir.sample_rate != signal.sample_rate:
-        raise ValueError(
-            f"filter rate {fir.sample_rate} != signal rate {signal.sample_rate}"
-        )
-    n = signal.n_frames
+    firs = (fir,) * signal.channels if isinstance(fir, FirFilter) else tuple(fir)
+    if len(firs) != signal.channels:
+        raise ValueError(f"got {len(firs)} filters for {signal.channels} channel(s)")
+    for f in firs:
+        if f.sample_rate != signal.sample_rate:
+            raise ValueError(
+                f"filter rate {f.sample_rate} != signal rate {signal.sample_rate}"
+            )
     out = np.empty_like(signal.samples)
-    for ch in range(signal.channels):
-        out[ch] = _convolve(signal.samples[ch], fir.taps)[fir.delay : fir.delay + n]
+    for ch, f in enumerate(firs):
+        _convolve_into(
+            out[ch : ch + 1], signal.samples[ch : ch + 1], f.taps[np.newaxis, np.newaxis], f.delay
+        )
     return signal.with_samples(out)
 
 
@@ -254,12 +260,8 @@ def nalr_process(
     """Apply each ear's NAL-R prescription to its channel of a stereo signal."""
     if buffer.channels != 2:
         raise ValueError(f"NAL-R processing needs stereo input, got {buffer.channels} channel(s)")
-    out = np.empty_like(buffer.samples)
-    for ch, audiogram in enumerate((listener.left, listener.right)):
-        fir = _nalr_fir(audiogram, n_taps, buffer.sample_rate)
-        channel = AudioBuffer(buffer.samples[ch : ch + 1], buffer.sample_rate)
-        out[ch] = apply_fir(channel, fir).samples[0]
-    return buffer.with_samples(out)
+    ears = (listener.left, listener.right)
+    return apply_fir(buffer, [_nalr_fir(ear, n_taps, buffer.sample_rate) for ear in ears])
 
 
 @functools.lru_cache(maxsize=_NALR_CACHE_SIZE)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, _convolve, read_wav
+from .audio import AudioBuffer, _convolve_into, read_wav
 
 # directory layout for a kernel stored as four mono files
 _KERNEL_FILE_NAMES = ("ll.wav", "rl.wav", "lr.wav", "rr.wav")
@@ -66,11 +66,10 @@ def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer
         raise ValueError(
             f"kernel rate {kernel.sample_rate} != signal rate {buffer.sample_rate}"
         )
-    left, right = buffer.samples
-    n = buffer.n_frames
-    received_l = _convolve(left, kernel.h_ll) + _convolve(right, kernel.h_rl)
-    received_r = _convolve(left, kernel.h_lr) + _convolve(right, kernel.h_rr)
-    return buffer.with_samples(np.stack([received_l[:n], received_r[:n]]))
+    paths = np.array([[kernel.h_ll, kernel.h_rl], [kernel.h_lr, kernel.h_rr]])
+    received = np.empty_like(buffer.samples)
+    _convolve_into(received, buffer.samples, paths, 0)
+    return buffer.with_samples(received)
 
 
 def load_kernel(path) -> CrosstalkKernel:

@@ -146,7 +146,8 @@ def ensemble_average(
     """Track-by-track weighted mean of several stem sets.
 
     Weights default to equal, must be finite and non-negative with a
-    positive, finite sum, and are normalized to sum to 1.
+    positive, finite sum, and are normalized to sum to 1. Weights that
+    overflow a track's weighted sum are rejected.
     """
     return StemSet(**dict(_track_averages(stem_sets, weights)))
 
@@ -185,8 +186,14 @@ def _track_averages(
     # selections exact
     for name in TRACK_NAMES:
         acc = np.zeros_like(stem_sets[0].track(name).samples)
-        for weight, stem_set in zip(w, stem_sets):
-            acc += weight * stem_set.track(name).samples
+        try:
+            with np.errstate(over="raise"):
+                for weight, stem_set in zip(w, stem_sets):
+                    acc += weight * stem_set.track(name).samples
+        except FloatingPointError:
+            raise ValueError(
+                f"ensemble weights {w.tolist()} overflow the weighted sum of the {name} track"
+            ) from None
         acc /= total
         yield name, stem_sets[0].track(name).with_samples(acc)
         del acc  # the caller may drop the track before asking for the next

@@ -265,7 +265,7 @@ def test_criterion_7_crosstalk_superposition(rng):
     stems = synth_stems(rng, seconds=0.3)
     mix = exact_mix(stems)
     worst = 0.0
-    for length in (64, 400):  # direct and overlap-add convolution paths
+    for length in (64, 400):  # dense kernels: the FFT overlap-add path
         responses = rng.normal(0, 0.3, (4, length)) * np.exp(
             -np.arange(length) / (length / 3)
         )

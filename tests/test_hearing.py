@@ -19,7 +19,7 @@ from hearmix import (
     nalr_process,
 )
 from hearmix import hearing
-from util import flat_listener, make_buffer, response_db, sine_buffer
+from util import convolution_lengths, flat_listener, make_buffer, response_db, sine_buffer
 
 FLAT_60 = Audiogram(AUDIOMETRIC_FREQUENCIES, (60.0,) * 6)
 ZERO = Audiogram(AUDIOMETRIC_FREQUENCIES, (0.0,) * 6)
@@ -239,8 +239,7 @@ class TestApplyFir:
         np.testing.assert_array_equal(out.samples, x.samples * 0.5)
 
     def test_long_filter_matches_direct_convolution(self, rng):
-        # 259 taps is past the direct-convolution cut-over, so this runs
-        # the overlap-add path
+        # a dense 259-tap filter runs the blocked FFT overlap-add path
         x = make_buffer(rng.normal(0, 0.3, (2, 5000)))
         taps = rng.normal(0, 0.1, 259)
         fir = FirFilter(0.5 * (taps + taps[::-1]), 44100)
@@ -250,6 +249,45 @@ class TestApplyFir:
             np.testing.assert_allclose(
                 out.samples[ch], direct, rtol=0, atol=1e-12 * np.max(np.abs(direct))
             )
+
+    @pytest.mark.parametrize("n_taps", [65, 141, 383, 1025])
+    def test_matches_direct_convolution_at_block_edges(self, rng, n_taps):
+        taps = rng.normal(0, 0.1, n_taps)
+        fir = FirFilter(0.5 * (taps + taps[::-1]), 44100)
+        for n in convolution_lengths(n_taps):
+            x = make_buffer(rng.normal(0, 0.3, (2, n)))
+            out = apply_fir(x, fir)
+            for ch in range(2):
+                direct = np.convolve(x.samples[ch], fir.taps)[fir.delay : fir.delay + n]
+                np.testing.assert_allclose(
+                    out.samples[ch], direct, rtol=0, atol=1e-12 * np.max(np.abs(direct))
+                )
+
+    @pytest.mark.parametrize("n_taps", [65, 2049])
+    @pytest.mark.parametrize("n", [1, 100, 5000])
+    def test_centred_delta_is_an_exact_scale_at_any_length(self, rng, n_taps, n):
+        x = make_buffer(rng.normal(0, 0.3, (2, n)))
+        out = apply_fir(x, _delta_filter(n_taps, value=-0.75))
+        np.testing.assert_array_equal(out.samples, x.samples * -0.75)
+
+    def test_all_zero_filter_gives_exact_zeros(self, rng):
+        x = make_buffer(rng.normal(0, 0.3, (2, 5000)))
+        out = apply_fir(x, FirFilter(np.zeros(141), 44100))
+        np.testing.assert_array_equal(out.samples, np.zeros_like(x.samples))
+
+    def test_one_filter_per_channel(self, rng):
+        x = make_buffer(rng.normal(0, 0.3, (2, 5000)))
+        taps = rng.normal(0, 0.1, (2, 141))
+        firs = [FirFilter(0.5 * (t + t[::-1]), 44100) for t in taps]
+        out = apply_fir(x, firs)
+        for ch, fir in enumerate(firs):
+            alone = apply_fir(make_buffer(x.samples[ch : ch + 1]), fir)
+            np.testing.assert_array_equal(out.samples[ch], alone.samples[0])
+
+    def test_filter_count_must_match_channels(self, rng):
+        x = make_buffer(rng.normal(0, 0.3, (2, 100)))
+        with pytest.raises(ValueError, match="1 filters for 2 channel"):
+            apply_fir(x, [_delta_filter()])
 
     def test_sine_gain_matches_prescription(self):
         gains = nalr_insertion_gains(FLAT_60)
@@ -295,6 +333,11 @@ class TestNalrProcess:
     def test_normal_hearing_is_transparent(self, rng):
         x = make_buffer(rng.normal(0, 0.2, (2, 4000)))
         out = nalr_process(x, flat_listener(0.0))
+        np.testing.assert_array_equal(out.samples, x.samples)
+
+    def test_normal_hearing_is_transparent_at_2049_taps(self, rng):
+        x = make_buffer(rng.normal(0, 0.2, (2, 4000)))
+        out = nalr_process(x, flat_listener(0.0), n_taps=2049)
         np.testing.assert_array_equal(out.samples, x.samples)
 
     def test_asymmetric_listener(self, rng):

@@ -11,11 +11,13 @@ from hearmix import (
     MUTE,
     STAGE_ORDER,
     AlignmentError,
+    CrosstalkKernel,
     EnhanceOptions,
     GainSpec,
     Listener,
     NoisyOracleStemProvider,
     UndefinedLoudnessError,
+    apply_crosstalk,
     blend_other,
     build_reference,
     compress,
@@ -25,6 +27,7 @@ from hearmix import (
     integrated_loudness,
     load_gains,
     load_manifest,
+    nalr_process,
     normalize_to_loudness,
     read_wav,
     remix,
@@ -342,6 +345,20 @@ class TestPeakMemory:
         song = make_buffer(rng.normal(0.0, 0.6, (2, 3 * 44100)))
         _, peak = _peak_buffers(song, compress, song)
         assert peak <= 2.0
+
+    def test_nalr_process_holds_few_buffers(self, rng):
+        # the output is one buffer; the blocked convolution adds scratch
+        # space for a fixed number of blocks, whatever the song's length
+        song = make_buffer(rng.normal(0.0, 0.2, (2, 3 * 44100)))
+        _, peak = _peak_buffers(song, nalr_process, song, flat_listener(60.0))
+        assert peak <= 1.5
+
+    def test_apply_crosstalk_holds_few_buffers(self, rng):
+        song = make_buffer(rng.normal(0.0, 0.2, (2, 3 * 44100)))
+        responses = rng.normal(0, 0.2, (4, 384)) * np.exp(-np.arange(384) / 96)
+        kernel = CrosstalkKernel(*responses, sample_rate=44100)
+        _, peak = _peak_buffers(song, apply_crosstalk, song, kernel)
+        assert peak <= 1.5
 
 
 class TestBuildReference:

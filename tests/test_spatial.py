@@ -11,7 +11,7 @@ from hearmix import (
     load_kernel,
     write_wav,
 )
-from util import make_buffer, synth_stems, exact_mix
+from util import convolution_lengths, exact_mix, make_buffer, shifted, synth_stems
 
 
 def _random_kernel(rng, length, rate=44100):
@@ -87,7 +87,7 @@ class TestApplyCrosstalk:
         # what makes training on crosstalked stems legitimate
         stems = synth_stems(rng, seconds=0.2)
         mix = exact_mix(stems)
-        for length in (64, 500):  # direct and overlap-add paths
+        for length in (64, 500):  # dense kernels: the FFT overlap-add path
             kernel = _random_kernel(rng, length)
             whole = apply_crosstalk(mix, kernel).samples
             parts = sum(
@@ -99,7 +99,7 @@ class TestApplyCrosstalk:
             )
 
     def test_overlap_add_matches_direct(self, rng):
-        # long kernels take the block-transform path; results must agree
+        # dense kernels take the block-transform path; results must agree
         # with plain convolution
         signal = rng.normal(0, 0.3, 4000)
         kernel = rng.normal(0, 0.1, 333)
@@ -113,7 +113,7 @@ class TestApplyCrosstalk:
             out.samples[0], direct, rtol=0, atol=1e-9 * np.max(np.abs(direct))
         )
 
-    def test_first_length_past_direct_cutover_matches_direct(self, rng):
+    def test_257_tap_kernel_matches_direct_convolution(self, rng):
         signal = rng.normal(0, 0.3, (2, 5000))
         kernel = _random_kernel(rng, 257)
         out = apply_crosstalk(make_buffer(signal), kernel)
@@ -126,6 +126,73 @@ class TestApplyCrosstalk:
             np.testing.assert_allclose(
                 got, want[:5000], rtol=0, atol=1e-12 * np.max(np.abs(want))
             )
+
+    @pytest.mark.parametrize("taps", [65, 141, 383, 1025])
+    def test_four_unequal_paths_match_direct_convolution(self, rng, taps):
+        kernel = _random_kernel(rng, taps)
+        for n in convolution_lengths(taps):
+            left, right = rng.normal(0, 0.3, (2, n))
+            out = apply_crosstalk(make_buffer(np.stack([left, right])), kernel)
+            expected = [
+                np.convolve(left, kernel.h_ll) + np.convolve(right, kernel.h_rl),
+                np.convolve(left, kernel.h_lr) + np.convolve(right, kernel.h_rr),
+            ]
+            for got, want in zip(out.samples, expected):
+                np.testing.assert_allclose(
+                    got, want[:n], rtol=0, atol=1e-12 * np.max(np.abs(want[:n]))
+                )
+
+    def test_one_tap_and_dense_paths_mix(self, rng):
+        taps = 383
+        dense = _random_kernel(rng, taps)
+        one_tap = np.zeros(taps)
+        one_tap[17] = -0.6
+        kernel = CrosstalkKernel(one_tap, dense.h_rl, np.zeros(taps), dense.h_rr, 44100)
+        for n in convolution_lengths(taps):
+            left, right = rng.normal(0, 0.3, (2, n))
+            out = apply_crosstalk(make_buffer(np.stack([left, right])), kernel)
+            expected = [
+                np.convolve(left, kernel.h_ll) + np.convolve(right, kernel.h_rl),
+                np.convolve(right, kernel.h_rr),
+            ]
+            for got, want in zip(out.samples, expected):
+                np.testing.assert_allclose(
+                    got, want[:n], rtol=0, atol=1e-12 * np.max(np.abs(want[:n]))
+                )
+
+    @pytest.mark.parametrize("taps", [65, 2049])
+    @pytest.mark.parametrize("where", ["first", "centre", "last"])
+    @pytest.mark.parametrize("n", [1, 2048, 5000])
+    def test_one_tap_paths_are_exact_shifts(self, rng, taps, where, n):
+        k = {"first": 0, "centre": (taps - 1) // 2, "last": taps - 1}[where]
+        paths = np.zeros((4, taps))
+        paths[:, k] = (0.5, -1.25, 3.0, 0.375)
+        kernel = CrosstalkKernel(*paths, sample_rate=44100)
+        left, right = rng.normal(0, 0.3, (2, n))
+        out = apply_crosstalk(make_buffer(np.stack([left, right])), kernel)
+        np.testing.assert_array_equal(
+            out.samples[0], shifted(0.5 * left, k) + shifted(-1.25 * right, k)
+        )
+        np.testing.assert_array_equal(
+            out.samples[1], shifted(3.0 * left, k) + shifted(0.375 * right, k)
+        )
+
+    def test_taps_past_the_signal_end_do_not_count(self, rng):
+        # the second nonzero tap cannot reach a 500-sample output, so each
+        # path is still a single exact shift
+        paths = np.zeros((4, 600))
+        paths[:, 3] = 0.5
+        paths[:, 550] = 2.0
+        left, right = rng.normal(0, 0.3, (2, 500))
+        out = apply_crosstalk(make_buffer(np.stack([left, right])), CrosstalkKernel(*paths, 44100))
+        expected = shifted(0.5 * left, 3) + shifted(0.5 * right, 3)
+        np.testing.assert_array_equal(out.samples, np.stack([expected, expected]))
+
+    def test_all_zero_kernel_gives_exact_zeros(self, rng):
+        buf = make_buffer(rng.normal(0, 0.3, (2, 3000)))
+        silent = np.zeros(300)
+        out = apply_crosstalk(buf, CrosstalkKernel(silent, silent, silent, silent, 44100))
+        np.testing.assert_array_equal(out.samples, np.zeros_like(buf.samples))
 
     def test_mono_rejected(self, rng):
         buf = make_buffer(rng.normal(0, 0.2, (1, 100)))

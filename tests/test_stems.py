@@ -145,6 +145,13 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="ensemble weights must have a finite sum"):
             ensemble_average([stems, stems], weights=(1e308, 1e308))
 
+    def test_weights_whose_weighted_sum_overflows_rejected(self):
+        # finite weights with a finite sum, but 1e308 * 1.9 is past float64
+        loud = make_buffer(np.full((2, 100), 1.9))
+        stems = StemSet(loud, loud, loud, loud)
+        with pytest.raises(ValueError, match=r"ensemble weights \[1e\+308, 1e\+307\] overflow"):
+            ensemble_average([stems, stems], weights=(1e308, 1e307))
+
     def test_largest_weights_with_a_finite_sum_accepted(self, rng):
         stems = synth_stems(rng, seconds=0.05)
         out = ensemble_average([stems, stems], weights=(2.0**1022, 2.0**1022))

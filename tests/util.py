@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hearmix import audio
 from hearmix import (
     AudioBuffer,
     Audiogram,
@@ -118,3 +119,20 @@ def response_db(taps: np.ndarray, freqs_hz, sample_rate: int) -> np.ndarray:
     k = np.arange(taps.size)
     phases = np.exp(-2j * np.pi * np.outer(freqs / sample_rate, k))
     return 20.0 * np.log10(np.abs(phases @ taps))
+
+
+def convolution_lengths(taps: int) -> tuple[int, ...]:
+    """Signal lengths at the edges of the blocked FFT overlap-add for a dense
+    kernel of ``taps`` taps: one sample, one short of the kernel, either side
+    of one block, and several chunks of blocks plus a remainder."""
+    size = max(audio._FFT_SIZE, 1 << (2 * taps - 2).bit_length())
+    block = size - taps + 1
+    chunk = block * audio._BLOCKS_PER_CHUNK
+    return (1, taps - 1, block - 1, block, block + 1, 3 * chunk + 17)
+
+
+def shifted(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` delayed by ``k`` samples, keeping its length."""
+    y = np.zeros_like(x)
+    y[k:] = x[: max(0, x.size - k)]
+    return y
