@@ -89,7 +89,7 @@ class AudioBuffer:
             raise ValueError("buffer needs at least one channel")
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        if not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise ValueError("samples contain NaN or Inf")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
@@ -109,6 +109,18 @@ class AudioBuffer:
     def with_samples(self, samples: np.ndarray) -> "AudioBuffer":
         """New buffer at the same rate with different samples."""
         return AudioBuffer(samples, self.sample_rate)
+
+
+def _all_finite(samples: np.ndarray) -> bool:
+    """Whether every sample is finite, without a song-sized mask.
+
+    Any NaN or infinity makes the sum non-finite. Finite samples near the
+    float64 limit can overflow it too, so only then is each sample checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(samples.sum()):
+            return True
+    return bool(np.all(np.isfinite(samples)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from pathlib import Path
 
 from .audio import read_wav, write_wav
@@ -108,6 +110,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_segments(args) -> int:
+    if not (math.isfinite(args.seconds) and args.seconds > 0.0):
+        raise ValueError(f"--seconds must be a positive finite number, got {args.seconds}")
     stems = DirectoryStemProvider(args.stems).stems()
     frames = int(round(args.seconds * stems.sample_rate))
     segments = salient_segments(stems, args.track, frames, args.threshold)
@@ -139,11 +143,18 @@ def _cmd_batch(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    started = time.perf_counter()
     reports = run_batch(manifest, workers=args.workers)
+    wall = time.perf_counter() - started
     _write_json(args.report, [r.as_dict() for r in reports])
     failures = [r for r in reports if r.error is not None]
     for r in failures:
         print(f"job {r.song_id} failed: {r.error}", file=sys.stderr)
+    ok = len(reports) - len(failures)
+    print(
+        f"batch: {ok} ok, {len(failures)} failed, {wall:.2f} s, {ok / wall:.2f} songs/s",
+        file=sys.stderr,
+    )
     if not failures:
         return EXIT_OK
     return EXIT_PARTIAL if len(failures) < len(reports) else EXIT_FAILURE

@@ -121,12 +121,16 @@ def _block_powers(buffer: AudioBuffer) -> np.ndarray | None:
     if buffer.n_frames < block:
         return None
 
-    weighted = sosfilt(_k_weighting_sos(buffer.sample_rate), buffer.samples, axis=1)
-    energy = np.concatenate(
-        [np.zeros((buffer.channels, 1)), np.cumsum(weighted * weighted, axis=1)], axis=1
-    )
+    # the filtered signal becomes its running energy in place:
+    # energy[:, t] = sum of the squares of frames 0..t
+    energy = sosfilt(_k_weighting_sos(buffer.sample_rate), buffer.samples, axis=1)
+    np.multiply(energy, energy, out=energy)
+    np.cumsum(energy, axis=1, out=energy)
     starts = np.arange(0, buffer.n_frames - block + 1, hop)
-    return (energy[:, starts + block] - energy[:, starts]).sum(axis=0) / block
+    # block s holds frames s .. s+block-1; the energy before frame 0 is 0
+    before = energy[:, starts - 1]
+    before[:, 0] = 0.0
+    return (energy[:, starts + block - 1] - before).sum(axis=0) / block
 
 
 def _gated_lufs(block_power: np.ndarray | None) -> float | None:

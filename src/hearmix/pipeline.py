@@ -29,8 +29,11 @@ from .metrics import EnhanceReport
 from .stems import (
     TRACK_NAMES,
     StemSet,
+    _averaged_chunks,
+    _chunk_scratch,
+    _chunks,
+    _ensemble_weights,
     _spec_files,
-    _track_averages,
     blend_other,
     provider_from_spec,
 )
@@ -121,11 +124,29 @@ class EnhanceOptions:
 
 def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     """Sum the tracks scaled to the requested gains; muted tracks add zero."""
-    first, *rest = TRACK_NAMES
-    acc = db_to_linear(gains.gain(first)) * stems.track(first).samples
-    for name in rest:
-        acc += db_to_linear(gains.gain(name)) * stems.track(name).samples
-    return stems.vocals.with_samples(acc)
+    scales = _linear_gains(gains)
+    out = np.empty_like(stems.vocals.samples)
+    term = _chunk_scratch(out)
+    for frames in _chunks(stems.n_frames):
+        product = term[:, : frames.stop - frames.start]
+        for name in TRACK_NAMES:
+            x = stems.track(name).samples[:, frames]
+            _scale_add(out[:, frames], x, scales[name], name == TRACK_NAMES[0], product)
+    return stems.vocals.with_samples(out)
+
+
+def _linear_gains(gains: GainSpec) -> dict[str, float]:
+    return {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
+
+
+def _scale_add(out: np.ndarray, x: np.ndarray, gain: float, first: bool, term: np.ndarray) -> None:
+    """``out = gain*x`` for the first track and ``out += gain*x`` after it;
+    ``term`` is scratch space and may be ``x`` itself."""
+    if first:
+        np.multiply(x, gain, out=out)
+    else:
+        np.multiply(x, gain, out=term)
+        out += term
 
 
 def _require_stereo(signal: AudioBuffer, caller: str) -> None:
@@ -154,30 +175,32 @@ def _front_end(
     options: EnhanceOptions,
     stages: list[str],
 ) -> AudioBuffer:
-    """Ensemble, residual repair and remix in one pass over the tracks.
+    """Ensemble, residual repair and remix in one pass over the song.
 
-    One averaged track is alive at a time, beside the running residual and
-    the output. Every operation runs in the order of ``ensemble_average`` →
-    ``compute_residual`` → ``blend_other`` → ``remix``, so the result is
-    the same bits as composing them.
+    The song is walked in chunks of frames. In each chunk every track is
+    averaged across the separators, then subtracted from the residual of
+    the mix (vocals, drums, bass) or blended with it ("other"), scaled to
+    its gain and added to the output. Every operation on a sample runs in
+    the order of ``ensemble_average`` → ``compute_residual`` →
+    ``blend_other`` → ``remix``, so the result is the same bits as
+    composing them. Beside the output, only chunk-sized arrays are alive.
     """
-    residual = mix.samples.copy() if options.use_residual else None
-    out = None
-    for name, track in _track_averages(stem_sets, options.ensemble_weights):
+    w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
+    scales = _linear_gains(gains)
+    out = np.empty_like(stem_sets[0].vocals.samples)
+    residual = _chunk_scratch(mix.samples) if options.use_residual else None
+    for frames, name, mean in _averaged_chunks(stem_sets, w, total):
+        track = mean
         if residual is not None:
+            r = residual[:, : frames.stop - frames.start]
+            if name == TRACK_NAMES[0]:
+                np.copyto(r, mix.samples[:, frames])
             if name == "other":  # the last track: the residual is complete
-                track = blend_other(track, mix.with_samples(residual))
-                residual = None
+                track = blend_other(mix.with_samples(mean), mix.with_samples(r)).samples
             else:
-                residual -= track.samples
-        # the averaged track is this loop's own, so it is scaled in place
-        scaled = track.samples
-        scaled *= db_to_linear(gains.gain(name))
-        if out is None:
-            out = scaled
-        else:
-            out += scaled
-        del track, scaled  # dropped before the next track is averaged
+                r -= mean
+        # the mean is scratch space, so the scaled track is written into it
+        _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
     stages.append("ensemble")
     if options.use_residual:
         stages.append("residual")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import uuid
 import wave
 
@@ -94,6 +95,32 @@ class TestAudioBuffer:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([[np.inf]]), 44100)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("where", [0, 4097, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_one_non_finite_sample(self, rng, order, where, bad):
+        samples = np.array(rng.normal(0.0, 0.3, (2, 8195)), order=order)
+        samples.flat[where] = bad
+        with pytest.raises(ValueError, match="^samples contain NaN or Inf$"):
+            AudioBuffer(samples, 44100)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_accepts_finite_samples_whose_sum_overflows(self, order):
+        huge = np.array([[1e308, 1e308, -1e308], [1e308, 1e308, 1.0]], order=order)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(huge.sum())
+        assert np.array_equal(AudioBuffer(huge, 44100).samples, huge)
+
+    def test_finiteness_check_allocates_no_mask(self, rng):
+        samples = np.asfortranarray(rng.normal(0.0, 0.3, (2, 44100)))
+        tracemalloc.start()
+        try:
+            AudioBuffer(samples, 44100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes / 64
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ class TestSegmentsCommand:
         for segment in report["segments"]:
             assert segment["energy_ratio"] >= 0.05
 
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "0", "-1"])
+    def test_bad_seconds_rejected_before_stems_are_read(self, tmp_path, capsys, seconds):
+        # the stem folder does not exist, so reading it would fail differently
+        rc = main(
+            [
+                "segments",
+                "--stems", str(tmp_path / "no_such_stems"),
+                "--track", "drums",
+                "--seconds", seconds,
+                "--report", str(tmp_path / "segments.json"),
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: --seconds must be a positive finite number")
+        assert not (tmp_path / "segments.json").exists()
+
+
+def _summary(stderr: str) -> tuple[int, int]:
+    """Jobs ok and failed from the batch summary, which must be the last
+    stderr line and report a positive wall time and a consistent rate."""
+    match = re.fullmatch(
+        r"batch: (\d+) ok, (\d+) failed, (\d+\.\d\d) s, (\d+\.\d\d) songs/s",
+        stderr.splitlines()[-1],
+    )
+    assert match, stderr
+    ok, failed, wall, rate = int(match[1]), int(match[2]), float(match[3]), float(match[4])
+    assert wall >= 0.0 and rate > 0.0
+    if wall >= 0.1:  # two decimals are too coarse to check the rate of a faster batch
+        assert rate == pytest.approx(ok / wall, rel=0.1)
+    return ok, failed
+
 
 class TestBatchCommand:
     def _setup(self, tmp_path, rng, broken):
@@ -270,7 +303,7 @@ class TestBatchCommand:
         (tmp_path / "manifest.json").write_text(json.dumps({"jobs": jobs}))
         return tmp_path
 
-    def test_all_jobs_succeed(self, tmp_path, rng):
+    def test_all_jobs_succeed(self, tmp_path, rng, capsys):
         root = self._setup(tmp_path, rng, broken=set())
         rc = main(
             [
@@ -283,6 +316,7 @@ class TestBatchCommand:
         reports = json.loads((root / "report.json").read_text())
         assert len(reports) == 3
         assert all(r["error"] is None for r in reports)
+        assert _summary(capsys.readouterr().err) == (3, 0)
 
     def test_partial_failure_exit_code(self, tmp_path, rng, capsys):
         root = self._setup(tmp_path, rng, broken={1})
@@ -302,7 +336,10 @@ class TestBatchCommand:
         assert (root / "out" / "song0.wav").exists()
         assert not (root / "out" / "song1.wav").exists()
         assert (root / "out" / "song2.wav").exists()
-        assert "song1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "song1" in err
+        assert err.splitlines()[0].startswith("job song1 failed: FileNotFoundError: ")
+        assert _summary(err) == (2, 1)
 
     def test_malformed_manifest_is_fatal(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{not json")

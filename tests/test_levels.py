@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,64 @@ class TestIntegratedLoudness:
     def test_quiet_signal_below_absolute_gate_is_undefined(self):
         tone = sine_buffer(997.0, 2.0, amplitude=1e-5)  # about -103 LUFS
         assert not integrated_loudness(tone).is_defined
+
+
+def concatenated_block_powers(buffer):
+    """The meter's block powers with a zero-padded energy cumsum, read as
+    ``E[s + block] - E[s]``: the whole-song form kept as an oracle."""
+    block = int(round(0.4 * buffer.sample_rate))
+    hop = int(round(0.1 * buffer.sample_rate))
+    if buffer.n_frames < block:
+        return None
+    weighted = sosfilt(levels._k_weighting_sos(buffer.sample_rate), buffer.samples, axis=1)
+    energy = np.concatenate(
+        [np.zeros((buffer.channels, 1)), np.cumsum(weighted * weighted, axis=1)], axis=1
+    )
+    starts = np.arange(0, buffer.n_frames - block + 1, hop)
+    return (energy[:, starts + block] - energy[:, starts]).sum(axis=0) / block
+
+
+class TestBlockPowers:
+    """The in-place energy cumsum against the zero-padded oracle, bit for bit."""
+
+    # at 11025 Hz a block (4410 frames) is not four hops (4 x 1102)
+    @pytest.mark.parametrize("rate", [44100, 11025])
+    @pytest.mark.parametrize(
+        "length", ["block-1", "block", "block+1", "block+hop", "silent_first_block"]
+    )
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_concatenated_cumsum(self, rng, rate, length, channels, order):
+        block, hop = int(round(0.4 * rate)), int(round(0.1 * rate))
+        n = {
+            "block-1": block - 1,
+            "block": block,
+            "block+1": block + 1,
+            "block+hop": block + hop,
+            "silent_first_block": block + 2 * hop,
+        }[length]
+        samples = np.array(rng.normal(0.0, 0.2, (channels, n)), order=order)
+        samples[:, : block if length == "silent_first_block" else hop] = 0.0
+        buffer = make_buffer(samples, rate)
+        ours, oracle = levels._block_powers(buffer), concatenated_block_powers(buffer)
+        if length == "block-1":
+            assert ours is None and oracle is None
+            return
+        assert np.array_equal(ours, oracle)
+        assert np.array_equal(np.signbit(ours), np.signbit(oracle))
+        if length == "silent_first_block":
+            assert ours[0] == 0.0
+
+    def test_holds_one_buffer(self, rng):
+        buffer = make_buffer(rng.normal(0.0, 0.2, (2, 3 * 44100)))
+        tracemalloc.start()
+        try:
+            levels._block_powers(buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the filtered signal, squared and summed in place, plus block-sized arrays
+        assert peak / buffer.samples.nbytes <= 1.05
 
 
 class TestNormalizeToLoudness:

@@ -16,12 +16,14 @@ from hearmix import (
     GainSpec,
     Listener,
     NoisyOracleStemProvider,
+    StemSet,
     UndefinedLoudnessError,
     apply_crosstalk,
     blend_other,
     build_reference,
     compress,
     compute_residual,
+    db_to_linear,
     enhance,
     ensemble_average,
     integrated_loudness,
@@ -36,11 +38,14 @@ from hearmix import (
 )
 from hearmix import hearing, pipeline
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
+from hearmix.stems import TRACK_NAMES
 from util import (
+    CHUNK_EDGES,
     ZERO_LISTENER,
     exact_mix,
     flat_listener,
     make_buffer,
+    random_stem_sets,
     synth_stems,
     write_gains_file,
     write_listener_file,
@@ -140,6 +145,41 @@ class TestRemix:
         assert err <= 1e-4 * np.linalg.norm(expected)
 
 
+def whole_song_remix(stems, gains):
+    """``remix`` as one whole-song sum: ``g*vocals``, then ``+= g*x`` for
+    drums, bass and other."""
+    first, *rest = TRACK_NAMES
+    acc = db_to_linear(gains.gain(first)) * stems.track(first).samples
+    for name in rest:
+        acc += db_to_linear(gains.gain(name)) * stems.track(name).samples
+    return acc
+
+
+CHUNK_GAINS = [UNIT_GAINS, GainSpec(3.0, MUTE, -4.5, 1.25), GainSpec(MUTE, MUTE, MUTE, MUTE)]
+CHUNK_GAIN_IDS = ["unit", "mixed_mute", "all_mute"]
+
+
+class TestRemixChunks:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("gains", CHUNK_GAINS, ids=CHUNK_GAIN_IDS)
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    def test_matches_the_whole_song_formula(self, rng, n_frames, gains, order):
+        _, (stems,) = random_stem_sets(rng, n_frames, 1, order)
+        out = remix(stems, gains).samples
+        expected = whole_song_remix(stems, gains)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def _composed_front_end(mix, sets, gains, weights, use_residual):
+    """ensemble_average → compute_residual → blend_other → remix."""
+    averaged = ensemble_average(sets, weights)
+    if use_residual:
+        repaired = blend_other(averaged.other, compute_residual(mix, averaged))
+        averaged = replace(averaged, other=repaired)
+    return remix(averaged, gains).samples
+
+
 class TestFrontEnd:
     """The one-pass front end against the composition of the public stages."""
 
@@ -157,18 +197,33 @@ class TestFrontEnd:
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 10.0, seed=s).stems() for s in range(k)]
         options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
-
-        averaged = ensemble_average(sets, weights)
-        if use_residual:
-            repaired = blend_other(averaged.other, compute_residual(mix, averaged))
-            averaged = replace(averaged, other=repaired)
-        expected = remix(averaged, gains).samples
+        expected = _composed_front_end(mix, sets, gains, weights, use_residual)
 
         stages = []
         out = pipeline._front_end(mix, sets, gains, options, stages).samples
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
         assert stages == (["ensemble", "residual", "remix"] if use_residual else ["ensemble", "remix"])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("use_residual", [True, False], ids=["residual", "no_residual"])
+    @pytest.mark.parametrize("gains", CHUNK_GAINS, ids=CHUNK_GAIN_IDS)
+    @pytest.mark.parametrize("k, weights", [(1, None), (3, (0.2, 1.5, 0.7))], ids=["k1", "k3"])
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    def test_chunk_edges(self, rng, n_frames, k, weights, gains, use_residual, order):
+        mix, sets = random_stem_sets(rng, n_frames, k, order)
+        options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
+        expected = _composed_front_end(mix, sets, gains, weights, use_residual)
+        out = pipeline._front_end(mix, sets, gains, options, []).samples
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_overflowing_weights_name_the_track(self):
+        loud = make_buffer(np.full((2, 100), 1.9))
+        stems = StemSet(loud, loud, loud, loud)
+        options = EnhanceOptions(ensemble_weights=(1e308, 1e307))
+        with pytest.raises(ValueError, match=r"\[1e\+308, 1e\+307\] overflow .* vocals track"):
+            pipeline._front_end(loud, [stems, stems], UNIT_GAINS, options, [])
 
 
 class TestEnhanceOptions:
@@ -303,7 +358,7 @@ class TestEnhance:
         def front_end_ran(*args, **kwargs):
             raise AssertionError("the ensemble ran on a mono mix")
 
-        monkeypatch.setattr(pipeline, "_track_averages", front_end_ran)
+        monkeypatch.setattr(pipeline, "_averaged_chunks", front_end_ran)
         stems = synth_stems(rng, seconds=0.5, channels=1)
         with pytest.raises(ValueError, match="stereo"):
             enhance(exact_mix(stems), [stems], UNIT_GAINS, ZERO_LISTENER)
@@ -330,14 +385,24 @@ class TestPeakMemory:
             mix, enhance, mix, sets, UNIT_GAINS, flat_listener(60.0)
         )
         assert report.compressor_applied
-        assert peak <= 4.5
+        assert peak <= 3.5
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_front_end_holds_its_output_and_chunks(self, rng, k):
+        truth = synth_stems(rng, seconds=3.0)
+        mix = exact_mix(truth)
+        sets = [NoisyOracleStemProvider(truth, 20.0, seed=s).stems() for s in range(k)]
+        _, peak = _peak_buffers(
+            mix, pipeline._front_end, mix, sets, UNIT_GAINS, EnhanceOptions(), []
+        )
+        assert peak <= 1.5
 
     def test_build_reference_holds_few_buffers(self, rng):
         truth = synth_stems(rng, seconds=3.0, peak=0.22)
         _, peak = _peak_buffers(
             truth.vocals, build_reference, truth, UNIT_GAINS, flat_listener(60.0)
         )
-        assert peak <= 4.5
+        assert peak <= 3.5
 
     def test_compress_holds_few_buffers(self, rng):
         # the output is one buffer; the detector and smoother add frame-sized

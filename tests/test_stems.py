@@ -20,7 +20,17 @@ from hearmix import (
     salient_segments,
     sdr,
 )
-from util import exact_mix, make_buffer, quantize, synth_stems, write_stems_dir
+from hearmix import stems as stems_module
+from hearmix.stems import TRACK_NAMES
+from util import (
+    CHUNK_EDGES,
+    exact_mix,
+    make_buffer,
+    quantize,
+    random_stem_sets,
+    synth_stems,
+    write_stems_dir,
+)
 
 
 def _stems_from_arrays(rate=44100, **tracks):
@@ -152,10 +162,53 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match=r"ensemble weights \[1e\+308, 1e\+307\] overflow"):
             ensemble_average([stems, stems], weights=(1e308, 1e307))
 
+    def test_overflow_names_the_first_track_to_overflow_in_the_song(self):
+        # vocals overflow only in the last frame, drums in the first chunk
+        n = 2 * stems_module._CHUNK_FRAMES + 17
+        quiet, loud = np.full((2, n), 0.5), np.full((2, n), 1.9)
+        loud_end = quiet.copy()
+        loud_end[:, -1] = 1.9
+        stems = StemSet(*(make_buffer(x) for x in (loud_end, loud, quiet, quiet)))
+        with pytest.raises(ValueError, match="overflow the weighted sum of the drums track"):
+            ensemble_average([stems, stems], weights=(1e308, 1e307))
+        stems = StemSet(*(make_buffer(x) for x in (loud_end, quiet, quiet, quiet)))
+        with pytest.raises(ValueError, match="overflow the weighted sum of the vocals track"):
+            ensemble_average([stems, stems], weights=(1e308, 1e307))
+
     def test_largest_weights_with_a_finite_sum_accepted(self, rng):
         stems = synth_stems(rng, seconds=0.05)
         out = ensemble_average([stems, stems], weights=(2.0**1022, 2.0**1022))
         np.testing.assert_array_equal(out.vocals.samples, stems.vocals.samples)
+
+
+def whole_song_average(stem_sets, weights):
+    """``ensemble_average`` as one whole-song sum per track: zeros, then
+    ``+= w*x`` over the sets, then one division by the weight sum."""
+    w = np.ones(len(stem_sets)) if weights is None else np.asarray(weights, dtype=np.float64)
+    tracks = {}
+    for name in TRACK_NAMES:
+        acc = np.zeros_like(stem_sets[0].track(name).samples)
+        for weight, stem_set in zip(w, stem_sets):
+            acc += weight * stem_set.track(name).samples
+        acc /= w.sum()
+        tracks[name] = acc
+    return tracks
+
+
+class TestEnsembleChunks:
+    """The chunked average against the whole-song formula, bit for bit,
+    at lengths around the chunk size."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k, weights", [(1, None), (3, None), (3, (0.2, 1.5, 0.7))])
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    def test_matches_the_whole_song_formula(self, rng, n_frames, k, weights, order):
+        _, sets = random_stem_sets(rng, n_frames, k, order)
+        out = ensemble_average(sets, weights)
+        for name, expected in whole_song_average(sets, weights).items():
+            got = out.track(name).samples
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestComputeResidual:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from hearmix import audio
+from hearmix.stems import _CHUNK_FRAMES
 from hearmix import (
     AudioBuffer,
     Audiogram,
@@ -74,6 +75,28 @@ def exact_mix(stems: StemSet) -> AudioBuffer:
         (stems.vocals.samples + stems.drums.samples) + stems.bass.samples
     ) + stems.other.samples
     return AudioBuffer(samples, stems.sample_rate)
+
+
+# song lengths around the front end's chunk size, from one frame to two
+# chunks and a partial third
+CHUNK_EDGES = (1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 17)
+
+
+def random_stem_sets(
+    rng: np.random.Generator, n_frames: int, k: int, order: str = "C"
+) -> tuple[AudioBuffer, list[StemSet]]:
+    """A stereo mixture and K stem sets of unrelated Gaussian samples, in
+    C or F memory order. Every 7th frame is -0.0 and every 11th +0.0 in
+    all of them, so signs of zero reach each step of the chain."""
+
+    def track() -> AudioBuffer:
+        x = np.array(rng.normal(0.0, 0.3, (2, n_frames)), order=order)
+        x[:, ::7] = -0.0
+        x[:, ::11] = 0.0
+        return AudioBuffer(x, 44100)
+
+    sets = [StemSet(track(), track(), track(), track()) for _ in range(k)]
+    return track(), sets
 
 
 def flat_listener(level_db_hl: float, listener_id: str = "test") -> Listener:
