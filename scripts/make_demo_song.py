@@ -21,7 +21,6 @@ import numpy as np
 
 from hearmix import (
     AudioBuffer,
-    EnhanceOptions,
     GainSpec,
     Listener,
     StemSet,
@@ -126,9 +125,7 @@ def main():
             for name in ("vocals", "drums", "bass", "other")
         }
     )
-    enhanced, report = enhance(
-        received, [crosstalked_stems], gains, listener, EnhanceOptions(), song_id="demo"
-    )
+    enhanced, report = enhance(received, [crosstalked_stems], gains, listener, song_id="demo")
     write_wav(enhanced, out / "enhanced.wav")
 
     print(json.dumps(report.as_dict(), indent=2))

@@ -70,7 +70,7 @@ from .pipeline import (
     remix,
     run_batch,
 )
-from .spatial import CrosstalkKernel, apply_crosstalk, identity_kernel, load_kernel
+from .spatial import CrosstalkKernel, apply_crosstalk, load_kernel
 from .stems import (
     TRACK_NAMES,
     DirectoryStemProvider,

@@ -70,11 +70,11 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    reference = read_wav(args.reference)
-    estimate = read_wav(args.estimate)
     if (args.ref_stems is None) != (args.est_stems is None):
         print("--ref-stems and --est-stems must be given together", file=sys.stderr)
         return EXIT_USAGE
+    reference = read_wav(args.reference)
+    estimate = read_wav(args.estimate)
     ref_stems = est_stems = None
     if args.ref_stems is not None:
         ref_stems = DirectoryStemProvider(args.ref_stems).stems()

@@ -164,8 +164,10 @@ def _loudness_target(mixture: AudioBuffer) -> float:
 def _normalize_and_amplify(
     signal: AudioBuffer, target_lufs: float, listener: Listener, n_taps: int
 ) -> AudioBuffer:
-    """The tail shared by ``enhance`` and ``build_reference``."""
-    return nalr_process(normalize_to_loudness(signal, target_lufs), listener, n_taps)
+    """The tail shared by ``enhance`` and ``build_reference``. The input is
+    dropped once normalized, so NAL-R runs beside one other signal."""
+    signal = normalize_to_loudness(signal, target_lufs)
+    return nalr_process(signal, listener, n_taps)
 
 
 def _front_end(
@@ -173,7 +175,6 @@ def _front_end(
     stem_sets: Sequence[StemSet],
     gains: GainSpec,
     options: EnhanceOptions,
-    stages: list[str],
 ) -> AudioBuffer:
     """Ensemble, residual repair and remix in one pass over the song.
 
@@ -201,10 +202,6 @@ def _front_end(
                 r -= mean
         # the mean is scratch space, so the scaled track is written into it
         _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
-    stages.append("ensemble")
-    if options.use_residual:
-        stages.append("residual")
-    stages.append("remix")
     return mix.with_samples(out)
 
 
@@ -233,9 +230,12 @@ def enhance(
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(mix)
 
-    signal = _front_end(mix, stem_sets, gains, options, report.stages)
-    signal = _normalize_and_amplify(signal, target, listener, options.n_taps)
-    report.stages += ["normalize", "nalr"]
+    # the front end's output goes straight into normalization, which frees it
+    signal = _normalize_and_amplify(
+        _front_end(mix, stem_sets, gains, options), target, listener, options.n_taps
+    )
+    report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
+    report.stages += ["remix", "normalize", "nalr"]
 
     clip_report = count_clipped(signal)
     report.clipped_samples = clip_report.per_channel
@@ -250,22 +250,16 @@ def enhance(
     return signal, report
 
 
-def build_reference(
-    true_stems: StemSet,
-    gains: GainSpec,
-    listener: Listener,
-    options: EnhanceOptions | None = None,
-) -> AudioBuffer:
+def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) -> AudioBuffer:
     """Ground-truth enhanced signal from the true stems.
 
     Remix at the requested gains, normalize to the true mixture's loudness,
-    and apply NAL-R. The reference chain never compresses.
+    and apply NAL-R with ``DEFAULT_NALR_TAPS`` taps. The reference chain
+    never compresses.
     """
-    if options is None:
-        options = EnhanceOptions()
     _require_stereo(true_stems.vocals, "build_reference")
     target = _loudness_target(remix(true_stems, GainSpec(0.0, 0.0, 0.0, 0.0)))
-    return _normalize_and_amplify(remix(true_stems, gains), target, listener, options.n_taps)
+    return _normalize_and_amplify(remix(true_stems, gains), target, listener, DEFAULT_NALR_TAPS)
 
 
 @dataclass(frozen=True)
@@ -366,20 +360,16 @@ def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceRe
     return report
 
 
-def run_batch(
-    manifest: BatchManifest,
-    options: EnhanceOptions | None = None,
-    workers: int = 1,
-) -> list[EnhanceReport]:
-    """Run every manifest job on ``workers`` threads, isolating per-job failures.
+def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
+    """Run every manifest job on ``workers`` threads with the default
+    ``EnhanceOptions``, isolating per-job failures.
 
     Failed jobs yield a report with the ``error`` field set instead of
     aborting the batch; reports come back in manifest order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if options is None:
-        options = EnhanceOptions()
+    options = EnhanceOptions()
 
     def isolated(job: BatchJob) -> EnhanceReport:
         try:

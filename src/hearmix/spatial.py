@@ -49,14 +49,6 @@ class CrosstalkKernel:
         return self.h_ll.size
 
 
-def identity_kernel(sample_rate: int, length: int = 1) -> CrosstalkKernel:
-    """Kernel that passes each channel through untouched (no crosstalk)."""
-    direct = np.zeros(length)
-    direct[0] = 1.0
-    silent = np.zeros(length)
-    return CrosstalkKernel(direct, silent, silent, direct.copy(), sample_rate)
-
-
 def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer:
     """Simulate speaker playback: convolve the stereo signal with the four
     crosstalk paths, truncated to the input length."""

@@ -9,7 +9,9 @@ noise for controlled experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -90,15 +92,24 @@ class NoisyOracleStemProvider:
     """Ground truth plus seeded white Gaussian noise at a per-track SNR.
 
     ``snr_db`` is measured against each track's own power; a silent track
-    stays silent. The seed is mandatory so ensemble experiments reproduce.
+    stays silent. It is a finite number or a map of exactly the four tracks
+    to finite numbers. The seed, a non-negative integer, is mandatory so
+    ensemble experiments reproduce. Booleans are neither.
     """
 
     def __init__(self, stem_set: StemSet, snr_db: float | Mapping[str, float], seed: int):
         self._stems = stem_set
         if isinstance(snr_db, Mapping):
-            self._snr = {name: float(snr_db[name]) for name in TRACK_NAMES}
+            if set(snr_db) != set(TRACK_NAMES):
+                raise ValueError(
+                    f"snr_db map must name exactly the tracks {list(TRACK_NAMES)}, "
+                    f"got {sorted(map(str, snr_db))}"
+                )
+            self._snr = {name: _finite_snr(snr_db[name], f"snr_db.{name}") for name in TRACK_NAMES}
         else:
-            self._snr = {name: float(snr_db) for name in TRACK_NAMES}
+            self._snr = dict.fromkeys(TRACK_NAMES, _finite_snr(snr_db, "snr_db"))
+        if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self._seed = int(seed)
 
     def stems(self) -> StemSet:
@@ -116,34 +127,42 @@ class NoisyOracleStemProvider:
         return StemSet(**noisy)
 
 
-def provider_from_spec(spec, base_dir=None):
-    """Build a provider from a manifest entry.
+def _finite_snr(value, field: str) -> float:
+    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{field} must be a finite number of dB, got {value!r}")
+    return float(value)
 
-    A bare string is a stem directory. Objects take
-    ``{"kind": "directory", "path": ...}`` or
-    ``{"kind": "noisy_oracle", "path": ..., "snr_db": ..., "seed": ...}``.
+
+def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleStemProvider:
+    """Build a provider from a manifest entry, resolving folders against ``base_dir``.
+
+    A string is a stem folder. An object is
+    ``{"kind": "noisy_oracle", "path": folder, "snr_db": ..., "seed": ...}``.
     """
-    base = Path(base_dir) if base_dir is not None else Path(".")
     if isinstance(spec, str):
-        return DirectoryStemProvider(base / spec)
+        return DirectoryStemProvider(Path(base_dir) / spec)
     if not isinstance(spec, Mapping):
         raise ValueError(f"stem provider spec must be a path or object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "directory":
-        return DirectoryStemProvider(base / spec["path"])
-    if kind == "noisy_oracle":
-        truth = DirectoryStemProvider(base / spec["path"]).stems()
-        return NoisyOracleStemProvider(truth, spec["snr_db"], spec["seed"])
-    raise ValueError(f"unknown stem provider kind {kind!r}")
+    if kind != "noisy_oracle":
+        raise ValueError(f"unknown stem provider kind {kind!r}")
+    missing = [key for key in ("path", "snr_db", "seed") if key not in spec]
+    if missing:
+        raise ValueError(f"noisy_oracle spec is missing {missing}")
+    if not isinstance(spec["path"], str):
+        raise ValueError(f"noisy_oracle path must be a string, got {spec['path']!r}")
+    truth = DirectoryStemProvider(Path(base_dir) / spec["path"]).stems()
+    return NoisyOracleStemProvider(truth, spec["snr_db"], spec["seed"])
 
 
 def _spec_files(spec, base_dir: Path) -> dict[str, Path]:
     """The stem files a manifest spec reads, by track; none when the spec
     names no folder (``provider_from_spec`` rejects it when the job runs)."""
-    folder = spec.get("path") if isinstance(spec, Mapping) else spec
-    if not isinstance(folder, str):
+    if isinstance(spec, Mapping) and spec.get("kind") == "noisy_oracle":
+        spec = spec.get("path")
+    if not isinstance(spec, str):
         return {}
-    return DirectoryStemProvider(base_dir / folder).files()
+    return DirectoryStemProvider(base_dir / spec).files()
 
 
 def ensemble_average(
@@ -288,11 +307,20 @@ def salient_segments(
         raise ValueError("ratio_threshold must be in [0, 1]")
 
     n_windows = stems.n_frames // segment_frames
+    # whole windows at a time, about one front-end chunk of frames per block,
+    # so no temporary spans the song; each window still sums its frames in one
+    # reduction, as a reshape of the whole song would
+    per_block = max(1, _CHUNK_FRAMES // segment_frames)
     energies = {}
     for name in TRACK_NAMES:
-        x = stems.track(name).samples[:, : n_windows * segment_frames]
-        per_frame = np.sum(x * x, axis=0)
-        energies[name] = per_frame.reshape(n_windows, segment_frames).sum(axis=1)
+        samples = stems.track(name).samples
+        energy = np.empty(n_windows)
+        for first in range(0, n_windows, per_block):
+            count = min(per_block, n_windows - first)
+            x = samples[:, first * segment_frames : (first + count) * segment_frames]
+            per_frame = np.sum(x * x, axis=0)
+            energy[first : first + count] = per_frame.reshape(count, segment_frames).sum(axis=1)
+        energies[name] = energy
 
     total = sum(energies[name] for name in TRACK_NAMES)
     segments = []

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hearmix import AudioBuffer, CompressorParams, identity_kernel, read_wav, write_wav
+from hearmix import AudioBuffer, CompressorParams, read_wav, write_wav
 from hearmix.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -19,6 +19,7 @@ from hearmix.cli import (
 from util import (
     ZERO_LISTENER,
     exact_mix,
+    identity_kernel,
     synth_stems,
     write_gains_file,
     write_listener_file,
@@ -183,6 +184,20 @@ class TestEvaluateCommand:
             ]
         )
         assert rc == EXIT_USAGE
+
+    def test_one_sided_stems_checked_before_reading_files(self, song, capsys):
+        rc = main(
+            [
+                "evaluate",
+                "--reference", str(song / "missing.wav"),
+                "--estimate", str(song / "mix.wav"),
+                "--est-stems", str(song / "stems"),
+                "--report", str(song / "report.json"),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "must be given together" in capsys.readouterr().err
+        assert not (song / "report.json").exists()
 
 
 class TestReferenceCommand:

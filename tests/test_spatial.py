@@ -7,11 +7,17 @@ from hearmix import (
     AudioBuffer,
     CrosstalkKernel,
     apply_crosstalk,
-    identity_kernel,
     load_kernel,
     write_wav,
 )
-from util import convolution_lengths, exact_mix, make_buffer, shifted, synth_stems
+from util import (
+    convolution_lengths,
+    exact_mix,
+    identity_kernel,
+    make_buffer,
+    shifted,
+    synth_stems,
+)
 
 
 def _random_kernel(rng, length, rate=44100):

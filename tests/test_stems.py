@@ -21,16 +21,21 @@ from hearmix import (
     sdr,
 )
 from hearmix import stems as stems_module
-from hearmix.stems import TRACK_NAMES
+from hearmix.stems import _CHUNK_FRAMES, TRACK_NAMES
 from util import (
     CHUNK_EDGES,
     exact_mix,
     make_buffer,
+    peak_buffers,
     quantize,
     random_stem_sets,
     synth_stems,
     write_stems_dir,
 )
+
+
+# a noisy_oracle spec field to leave out
+DROP = object()
 
 
 def _stems_from_arrays(rate=44100, **tracks):
@@ -376,6 +381,31 @@ class TestSalientSegments:
         with pytest.raises(ValueError):
             salient_segments(stems, "vocals", 100, 1.5)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "segment_frames",
+        [1, 100, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 3 * _CHUNK_FRAMES + 5],
+    )
+    def test_ratios_match_the_whole_song_sums(self, rng, segment_frames, order):
+        _, (stems,) = random_stem_sets(rng, 4 * _CHUNK_FRAMES + 17, 1, order)
+        n_windows = stems.n_frames // segment_frames
+        energies = {}
+        for name in TRACK_NAMES:
+            x = stems.track(name).samples[:, : n_windows * segment_frames]
+            energies[name] = np.sum(x * x, axis=0).reshape(n_windows, segment_frames).sum(axis=1)
+        total = sum(energies[name] for name in TRACK_NAMES)
+        segments = salient_segments(stems, "drums", segment_frames, 0.0)
+        assert [s.start for s in segments] == [i * segment_frames for i in range(n_windows)]
+        for i, segment in enumerate(segments):
+            expected = float(energies["drums"][i] / total[i]) if total[i] > 0.0 else 0.0
+            assert segment.energy_ratio == expected
+
+    def test_holds_no_song_sized_temporary(self, rng):
+        _, (stems,) = random_stem_sets(rng, 3 * 44100, 1)
+        segments, peak = peak_buffers(stems.vocals, salient_segments, stems, "vocals", 11025)
+        assert len(segments) == 12
+        assert peak <= 0.5
+
 
 class TestProviders:
     def test_directory_round_trip(self, rng, tmp_path):
@@ -429,10 +459,6 @@ class TestProviders:
         stems = synth_stems(rng, seconds=0.05)
         write_stems_dir(stems, tmp_path / "stems")
         assert isinstance(provider_from_spec("stems", tmp_path), DirectoryStemProvider)
-        assert isinstance(
-            provider_from_spec({"kind": "directory", "path": "stems"}, tmp_path),
-            DirectoryStemProvider,
-        )
         noisy = provider_from_spec(
             {"kind": "noisy_oracle", "path": "stems", "snr_db": 10.0, "seed": 2},
             tmp_path,
@@ -444,3 +470,55 @@ class TestProviders:
             provider_from_spec({"kind": "oracle", "path": "stems"}, tmp_path)
         with pytest.raises(ValueError):
             provider_from_spec(42, tmp_path)
+
+    def test_directory_kind_is_an_unknown_kind(self, rng, tmp_path):
+        write_stems_dir(synth_stems(rng, seconds=0.05), tmp_path / "stems")
+        with pytest.raises(ValueError, match="unknown stem provider kind 'directory'"):
+            provider_from_spec({"kind": "directory", "path": "stems"}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"snr_db": {"vocals": 1.0, "bass": 1.0, "other": 1.0}}, r"snr_db map .*'vocals'"),
+            (
+                {"snr_db": {"vocals": 1, "drums": 1, "bass": 1, "other": 1, "piano": 1}},
+                r"snr_db map .*'piano'",
+            ),
+            ({"snr_db": {"vocals": 1, "drums": "1", "bass": 1, "other": 1}}, r"snr_db\.drums"),
+            ({"snr_db": {"vocals": 1, "drums": 1, "bass": True, "other": 1}}, r"snr_db\.bass"),
+            ({"snr_db": None}, "snr_db must be"),
+            ({"snr_db": [1, 2]}, "snr_db must be"),
+            ({"snr_db": True}, "snr_db must be"),
+            ({"snr_db": float("inf")}, "snr_db must be"),
+            ({"snr_db": float("nan")}, "snr_db must be"),
+            ({"seed": None}, "seed must be"),
+            ({"seed": 1.5}, "seed must be"),
+            ({"seed": 2.0}, "seed must be"),
+            ({"seed": True}, "seed must be"),
+            ({"seed": -1}, "seed must be"),
+            ({"seed": "7"}, "seed must be"),
+            ({"snr_db": DROP, "seed": DROP, "path": DROP}, r"missing \['path', 'snr_db', 'seed'\]"),
+            ({"snr_db": DROP}, r"missing \['snr_db'\]"),
+            ({"seed": DROP}, r"missing \['seed'\]"),
+            ({"path": 3}, "path must be a string"),
+        ],
+        ids=[
+            "map_missing_track", "map_extra_track", "map_string_value", "map_bool_value",
+            "snr_null", "snr_list", "snr_bool", "snr_inf", "snr_nan",
+            "seed_null", "seed_fraction", "seed_float", "seed_bool", "seed_negative",
+            "seed_string", "missing_all", "missing_snr", "missing_seed", "path_not_string",
+        ],
+    )
+    def test_bad_noisy_oracle_spec_names_the_field(self, rng, tmp_path, fields, match):
+        write_stems_dir(synth_stems(rng, seconds=0.05), tmp_path / "stems")
+        spec = {"kind": "noisy_oracle", "path": "stems", "snr_db": 10.0, "seed": 2}
+        spec.update(fields)
+        spec = {key: value for key, value in spec.items() if value is not DROP}
+        with pytest.raises(ValueError, match=match):
+            provider_from_spec(spec, tmp_path)
+
+    def test_noisy_oracle_accepts_numpy_scalars(self, rng):
+        stems = synth_stems(rng, seconds=0.05)
+        a = NoisyOracleStemProvider(stems, np.float64(10.0), seed=np.int64(7)).stems()
+        b = NoisyOracleStemProvider(stems, 10, seed=7).stems()
+        np.testing.assert_array_equal(a.vocals.samples, b.vocals.samples)

@@ -8,6 +8,7 @@ float64, so mixture arithmetic identities hold bitwise.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hearmix.stems import _CHUNK_FRAMES
 from hearmix import (
     AudioBuffer,
     Audiogram,
+    CrosstalkKernel,
     Listener,
     StemSet,
     write_wav,
@@ -99,6 +101,14 @@ def random_stem_sets(
     return track(), sets
 
 
+def identity_kernel(sample_rate: int, length: int = 1) -> CrosstalkKernel:
+    """Kernel that passes each channel through untouched (no crosstalk)."""
+    direct = np.zeros(length)
+    direct[0] = 1.0
+    silent = np.zeros(length)
+    return CrosstalkKernel(direct, silent, silent, direct.copy(), sample_rate)
+
+
 def flat_listener(level_db_hl: float, listener_id: str = "test") -> Listener:
     freqs = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
     audiogram = Audiogram(freqs, (level_db_hl,) * 6)
@@ -159,3 +169,15 @@ def shifted(x: np.ndarray, k: int) -> np.ndarray:
     y = np.zeros_like(x)
     y[k:] = x[: max(0, x.size - k)]
     return y
+
+
+def peak_buffers(like: AudioBuffer, fn, *args):
+    """Result of one call and its transient peak allocation, counted in
+    buffers the size of ``like``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / like.samples.nbytes
+    finally:
+        tracemalloc.stop()
