@@ -161,15 +161,6 @@ def _loudness_target(mixture: AudioBuffer) -> float:
     return loudness.value
 
 
-def _normalize_and_amplify(
-    signal: AudioBuffer, target_lufs: float, listener: Listener, n_taps: int
-) -> AudioBuffer:
-    """The tail shared by ``enhance`` and ``build_reference``. The input is
-    dropped once normalized, so NAL-R runs beside one other signal."""
-    signal = normalize_to_loudness(signal, target_lufs)
-    return nalr_process(signal, listener, n_taps)
-
-
 def _front_end(
     mix: AudioBuffer,
     stem_sets: Sequence[StemSet],
@@ -230,10 +221,10 @@ def enhance(
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(mix)
 
-    # the front end's output goes straight into normalization, which frees it
-    signal = _normalize_and_amplify(
-        _front_end(mix, stem_sets, gains, options), target, listener, options.n_taps
-    )
+    # each stage's output replaces its input, so NAL-R runs beside one other signal
+    signal = _front_end(mix, stem_sets, gains, options)
+    signal = normalize_to_loudness(signal, target)
+    signal = nalr_process(signal, listener, options.n_taps)
     report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
     report.stages += ["remix", "normalize", "nalr"]
 
@@ -259,7 +250,9 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     """
     _require_stereo(true_stems.vocals, "build_reference")
     target = _loudness_target(remix(true_stems, GainSpec(0.0, 0.0, 0.0, 0.0)))
-    return _normalize_and_amplify(remix(true_stems, gains), target, listener, DEFAULT_NALR_TAPS)
+    signal = remix(true_stems, gains)
+    signal = normalize_to_loudness(signal, target)
+    return nalr_process(signal, listener, DEFAULT_NALR_TAPS)
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,12 @@ class NoisyOracleStemProvider:
 
 
 def _finite_snr(value, field: str) -> float:
-    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
-        raise ValueError(f"{field} must be a finite number of dB, got {value!r}")
-    return float(value)
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"{field} must be a finite number of dB, got {value!r}")
 
 
 def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleStemProvider:

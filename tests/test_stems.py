@@ -491,6 +491,8 @@ class TestProviders:
             ({"snr_db": True}, "snr_db must be"),
             ({"snr_db": float("inf")}, "snr_db must be"),
             ({"snr_db": float("nan")}, "snr_db must be"),
+            ({"snr_db": 10**400}, "snr_db must be"),
+            ({"snr_db": {"vocals": 1, "drums": 1, "bass": 1, "other": 10**400}}, r"snr_db\.other"),
             ({"seed": None}, "seed must be"),
             ({"seed": 1.5}, "seed must be"),
             ({"seed": 2.0}, "seed must be"),
@@ -505,6 +507,7 @@ class TestProviders:
         ids=[
             "map_missing_track", "map_extra_track", "map_string_value", "map_bool_value",
             "snr_null", "snr_list", "snr_bool", "snr_inf", "snr_nan",
+            "snr_int_too_large", "map_int_too_large",
             "seed_null", "seed_fraction", "seed_float", "seed_bool", "seed_negative",
             "seed_string", "missing_all", "missing_snr", "missing_seed", "path_not_string",
         ],
