@@ -15,6 +15,7 @@ import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +40,12 @@ _READABLE_CODECS = {
     (_WAVE_FORMAT_PCM, 32),
     (_WAVE_FORMAT_IEEE_FLOAT, 32),
 }
+
+# frames per chunk of the passes that walk a song in order (128 KiB per
+# stereo float64 array), so their chunk-sized arrays stay in one core's L2
+# cache. Smaller chunks were slower on a 30 s song from per-chunk overhead;
+# larger ones gained little and raise the peak memory of short songs.
+_CHUNK_FRAMES = 8192
 
 # blocked overlap-add: the smallest FFT size, and how many input blocks are
 # transformed together. Scratch space is a fixed multiple of their product,
@@ -165,20 +172,41 @@ def db_to_linear(gain_db: float) -> float:
     return 10.0 ** (gain_db / 20.0)
 
 
+def _chunks(n_frames: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK_FRAMES`` frames covering a song."""
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        yield slice(start, min(start + _CHUNK_FRAMES, n_frames))
+
+
+def _chunk_scratch(like: np.ndarray) -> np.ndarray:
+    """An uninitialized array for one chunk of ``like``, in its memory order."""
+    return np.empty_like(like[:, :_CHUNK_FRAMES])
+
+
 def _convolve_into(
-    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, start: int
+    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, start: int, gain: float = 1.0
 ) -> None:
-    """Write ``out[i] = sum_j (inputs[j] * kernels[i, j])[start : start + n]``,
+    """Write ``out[i] = sum_j ((gain * inputs[j]) * kernels[i, j])[start : start + n]``,
     where ``*`` is full linear convolution and n the input length.
 
     ``inputs`` is (n_in, n), ``kernels`` (n_out, n_in, taps) and ``out``
-    (n_out, n), sharing no memory with ``inputs``. Only the taps that can
+    (n_out, n). ``gain`` scales each input sample before anything else
+    reads it, the same multiply as ``inputs * gain``. Only the taps that can
     reach an output sample count. A path with no nonzero tap among them adds
     nothing; a path with exactly one is an exact scaled shift; every other
     path goes through a blocked FFT overlap-add (Oppenheim & Schafer,
     *Discrete-Time Signal Processing*, 8.7) that writes each chunk of the
     output in place.
+
+    ``out`` either shares no memory with ``inputs`` or is ``inputs`` itself,
+    one row filtered in place. In place, each block of input is read and
+    transformed before any of its outputs are written, and writes trail
+    reads by ``start`` samples, so a one-tap path must sit at ``start``, as
+    the centre tap of a symmetric filter does.
     """
+    in_place = out is inputs
+    if in_place and out.shape[0] != 1:
+        raise ValueError(f"in-place convolution filters one row, got {out.shape[0]}")
     n = inputs.shape[1]
     lo = max(0, start - n + 1)
     kernels = kernels[:, :, lo : start + n]
@@ -186,33 +214,44 @@ def _convolve_into(
     nonzero = np.count_nonzero(kernels, axis=2)
     fft = nonzero > 1
     if fft.any():
-        _overlap_add(out, inputs, kernels, fft, start)
+        _overlap_add(out, inputs, kernels, fft, start, gain)
     for i in range(out.shape[0]):
         written = bool(fft[i].any())
         for j in np.flatnonzero(nonzero[i] == 1):
             # out[i, t] += h[tap] * x[t + start - tap] wherever x is defined
             tap = int(np.flatnonzero(kernels[i, j])[0])
+            if in_place and tap != start:
+                raise ValueError(f"in-place convolution needs its one tap at {start}, got {tap}")
             value = kernels[i, j, tap]
             dst = out[i, max(0, tap - start) : min(n, n + tap - start)]
             src = inputs[j, max(0, start - tap) : min(n, n + start - tap)]
             if written:
                 # in pieces, so the scaled copy never spans the song
                 for a in range(0, dst.size, _FFT_SIZE):
-                    dst[a : a + _FFT_SIZE] += value * src[a : a + _FFT_SIZE]
+                    dst[a : a + _FFT_SIZE] += value * (src[a : a + _FFT_SIZE] * gain)
             else:
-                out[i] = 0.0
-                np.multiply(src, value, out=dst)
+                if tap != start:  # the shifted path leaves an edge unwritten
+                    out[i] = 0.0
+                # in place, dst is src: each sample is read before it is written
+                np.multiply(src, gain, out=dst)
+                dst *= value
                 written = True
         if not written:
             out[i] = 0.0
 
 
 def _overlap_add(
-    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, paths: np.ndarray, start: int
+    out: np.ndarray,
+    inputs: np.ndarray,
+    kernels: np.ndarray,
+    paths: np.ndarray,
+    start: int,
+    gain: float,
 ) -> None:
     """``_convolve_into`` by FFT over the paths ``(i, j)`` where ``paths``
     is true, for the outputs that have any; the others are left untouched.
-    Each chunk of input blocks is transformed once, and each output's chunk
+    Each chunk of input blocks is scaled and transformed once, before any
+    output of that chunk is written, and each output's chunk
     inverse-transformed once."""
     n = inputs.shape[1]
     taps = kernels.shape[2]
@@ -228,6 +267,8 @@ def _overlap_add(
         if segment.shape[1] < hop:  # the last, partial block
             segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
         frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
+        if gain != 1.0:  # x * 1.0 is x, so the copy would change nothing
+            frames = frames * gain
         x = np.fft.rfft(frames, size)
         for i, js in reads.items():
             acc = x[js[0]] * spectra[i, js[0]]

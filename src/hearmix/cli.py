@@ -138,6 +138,9 @@ def _cmd_segments(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.workers < 1:
+        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         manifest = load_manifest(args.manifest)
     except (ValueError, OSError) as exc:

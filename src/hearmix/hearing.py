@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +182,16 @@ def _frequency_sample(magnitude: np.ndarray, n_taps: int) -> np.ndarray:
     return 0.5 * (taps + taps[::-1])  # enforce exact symmetry
 
 
+def _check_n_taps(n_taps) -> None:
+    """A NAL-R filter length is an odd integer of at least 65 taps."""
+    if not isinstance(n_taps, Integral) or isinstance(n_taps, bool):
+        raise ValueError(f"n_taps must be an integer, got {n_taps!r}")
+    if n_taps % 2 == 0:
+        raise ValueError(f"n_taps must be odd, got {n_taps}")
+    if n_taps < 65:
+        raise ValueError(f"n_taps must be >= 65, got {n_taps}")
+
+
 def design_nalr_fir(
     frequencies: Sequence[float],
     gains_db: Sequence[float],
@@ -196,10 +207,7 @@ def design_nalr_fir(
     pre-corrected until the measured response lands on the prescription;
     at 141 taps / 44.1 kHz the anchors come out well inside 1 dB.
     """
-    if n_taps % 2 == 0:
-        raise ValueError(f"n_taps must be odd, got {n_taps}")
-    if n_taps < 65:
-        raise ValueError(f"n_taps must be >= 65, got {n_taps}")
+    _check_n_taps(n_taps)
     anchors = np.asarray(frequencies, dtype=np.float64)
     gains = np.asarray(gains_db, dtype=np.float64)
     if anchors.shape != gains.shape or anchors.ndim != 1:
@@ -262,6 +270,18 @@ def nalr_process(
         raise ValueError(f"NAL-R processing needs stereo input, got {buffer.channels} channel(s)")
     ears = (listener.left, listener.right)
     return apply_fir(buffer, [_nalr_fir(ear, n_taps, buffer.sample_rate) for ear in ears])
+
+
+def _nalr_in_place(
+    samples: np.ndarray, sample_rate: int, listener: Listener, n_taps: int, gain: float
+) -> None:
+    """``nalr_process`` of the stereo signal ``samples * gain``, written over
+    ``samples``: each ear's filter runs in place on its channel and scales
+    each block of input by ``gain`` before filtering it."""
+    for ch, ear in enumerate((listener.left, listener.right)):
+        fir = _nalr_fir(ear, n_taps, sample_rate)
+        row = samples[ch : ch + 1]
+        _convolve_into(row, row, fir.taps[np.newaxis, np.newaxis], fir.delay, gain)
 
 
 @functools.lru_cache(maxsize=_NALR_CACHE_SIZE)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import sosfilt
 
-from .audio import AudioBuffer
+from .audio import _CHUNK_FRAMES, AudioBuffer, _chunks
 
 CLIP_TRIGGER_COUNT = 25_000
 
@@ -108,29 +108,92 @@ def _k_weighting_sos(sample_rate: int) -> np.ndarray:
     return np.array([shelf, highpass])
 
 
-def _block_powers(buffer: AudioBuffer) -> np.ndarray | None:
-    """K-weighted power of each 400 ms block, summed over channels.
+class _LoudnessMeter:
+    """K-weighted power of each 400 ms block of one signal, summed over
+    channels, from the signal's frames fed in order, in chunks.
 
-    None when the buffer is shorter than one block. K-weighting is linear,
-    so scaling the buffer by g scales every block power by g**2.
+    The K-weighting filter's state and the running energy (the sum of the
+    squares of every frame fed so far) carry from chunk to chunk, and the
+    energy at each block edge is kept as it passes. ``sosfilt`` with a
+    carried ``zi`` continues the recursion exactly, and adding the carried
+    energy to a chunk's first square before its ``cumsum`` repeats the
+    additions of one ``cumsum`` over the song, so the powers are the same
+    bits however the signal is cut. K-weighting is linear, so scaling the
+    signal by g scales every block power by g**2.
     """
-    if buffer.sample_rate < 8000:
-        raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {buffer.sample_rate}")
-    block = int(round(_BLOCK_SECONDS * buffer.sample_rate))
-    hop = int(round(_HOP_SECONDS * buffer.sample_rate))
-    if buffer.n_frames < block:
-        return None
 
-    # the filtered signal becomes its running energy in place:
-    # energy[:, t] = sum of the squares of frames 0..t
-    energy = sosfilt(_k_weighting_sos(buffer.sample_rate), buffer.samples, axis=1)
-    np.multiply(energy, energy, out=energy)
-    np.cumsum(energy, axis=1, out=energy)
-    starts = np.arange(0, buffer.n_frames - block + 1, hop)
-    # block s holds frames s .. s+block-1; the energy before frame 0 is 0
-    before = energy[:, starts - 1]
-    before[:, 0] = 0.0
-    return (energy[:, starts + block - 1] - before).sum(axis=0) / block
+    def __init__(self, channels: int, n_frames: int, sample_rate: int):
+        if sample_rate < 8000:
+            raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {sample_rate}")
+        self._block = int(round(_BLOCK_SECONDS * sample_rate))
+        hop = int(round(_HOP_SECONDS * sample_rate))
+        self._sos = _k_weighting_sos(sample_rate)
+        self._zi = np.zeros((self._sos.shape[0], channels, 2))
+        self._energy = np.zeros(channels)
+        # block s holds frames s .. s+block-1: its power is the energy
+        # through its last frame less the energy through frame s-1
+        self._starts = np.arange(0, n_frames - self._block + 1, hop)
+        self._edges = np.union1d(self._starts[1:] - 1, self._starts + self._block - 1)
+        self._at_edges = np.empty((channels, self._edges.size))
+        self._fed = 0
+        # each sosfilt call has a fixed set-up cost, so small chunks are
+        # gathered into spans of 1/64 of the signal (at least one chunk)
+        self._span_frames = max(_CHUNK_FRAMES, n_frames // 64)
+        self._span = None  # made on first use, in the memory order of the chunks
+        self._held = 0
+
+    def feed(self, chunk: np.ndarray) -> None:
+        """Meter the next (channels, frames) chunk of the signal."""
+        if not self._edges.size:  # shorter than one block: nothing to measure
+            return
+        if not self._held and chunk.shape[1] >= self._span_frames:
+            self._filter(chunk)
+            return
+        if self._span is None:
+            self._span = np.empty_like(chunk, shape=(chunk.shape[0], self._span_frames))
+        while chunk.shape[1]:
+            take = min(chunk.shape[1], self._span_frames - self._held)
+            self._span[:, self._held : self._held + take] = chunk[:, :take]
+            self._held += take
+            chunk = chunk[:, take:]
+            if self._held == self._span_frames:
+                self._flush()
+
+    def _flush(self) -> None:
+        if self._held:
+            self._filter(self._span[:, : self._held])
+            self._held = 0
+
+    def _filter(self, chunk: np.ndarray) -> None:
+        first = self._fed
+        self._fed += chunk.shape[1]
+        # the filtered chunk becomes its running energy in place
+        energy, self._zi = sosfilt(self._sos, chunk, axis=1, zi=self._zi)
+        np.multiply(energy, energy, out=energy)
+        energy[:, 0] += self._energy
+        np.cumsum(energy, axis=1, out=energy)
+        self._energy = energy[:, -1].copy()
+        lo, hi = np.searchsorted(self._edges, (first, self._fed))
+        self._at_edges[:, lo:hi] = energy[:, self._edges[lo:hi] - first]
+
+    def block_powers(self) -> np.ndarray | None:
+        """The powers of every block, once every frame has been fed; None
+        when the signal is shorter than one block."""
+        if not self._starts.size:
+            return None
+        self._flush()
+        at = self._at_edges
+        end = at[:, np.searchsorted(self._edges, self._starts + self._block - 1)]
+        before = at[:, np.searchsorted(self._edges, self._starts - 1)]
+        before[:, 0] = 0.0  # the energy before frame 0
+        return (end - before).sum(axis=0) / self._block
+
+
+def _block_powers(buffer: AudioBuffer) -> np.ndarray | None:
+    """The meter's block powers, the whole buffer fed as one chunk."""
+    meter = _LoudnessMeter(buffer.channels, buffer.n_frames, buffer.sample_rate)
+    meter.feed(buffer.samples)
+    return meter.block_powers()
 
 
 def _gated_lufs(block_power: np.ndarray | None) -> float | None:
@@ -156,14 +219,20 @@ def integrated_loudness(buffer: AudioBuffer) -> LoudnessLufs:
 
 
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
-    """Scale a buffer by one scalar so its loudness matches the target.
+    """Scale a buffer by one scalar so its loudness matches the target."""
+    gain = _normalizing_gain(_block_powers(buffer), target_lufs)
+    return buffer.with_samples(buffer.samples * gain)
 
-    The block powers are measured once. The relative gate moves with the
-    scale, but the -70 LUFS absolute gate does not, so a gain can keep or
-    drop different blocks; the gain is therefore re-solved once on the
-    scaled powers instead of filtering the scaled signal again.
+
+def _normalizing_gain(powers: np.ndarray | None, target_lufs: float) -> float:
+    """The amplitude factor that brings a signal with these block powers to
+    the target loudness.
+
+    The relative gate moves with the scale, but the -70 LUFS absolute gate
+    does not, so a gain can keep or drop different blocks; the gain is
+    therefore re-solved once on the scaled powers instead of filtering the
+    scaled signal again.
     """
-    powers = _block_powers(buffer)
     measured = _gated_lufs(powers)
     if measured is None:
         raise UndefinedLoudnessError("cannot normalize: input loudness is undefined")
@@ -171,13 +240,24 @@ def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffe
     rescaled = _gated_lufs(powers * 10.0 ** (gain_db / 10.0))
     if rescaled is not None:
         gain_db += target_lufs - rescaled
-    return buffer.with_samples(buffer.samples * 10.0 ** (gain_db / 20.0))
+    return 10.0 ** (gain_db / 20.0)
 
 
 def count_clipped(buffer: AudioBuffer) -> ClipReport:
     """Count samples at or beyond full scale (|x| >= 1) per channel."""
-    counts = tuple(int(np.count_nonzero(np.abs(ch) >= 1.0)) for ch in buffer.samples)
-    return ClipReport(per_channel=counts)
+    # a channel at a time through contiguous scratch, whatever the memory order
+    magnitude = np.empty(min(_CHUNK_FRAMES, buffer.n_frames))
+    clipped = np.empty(magnitude.size, dtype=bool)
+    counts = []
+    for channel in buffer.samples:
+        count = 0
+        for frames in _chunks(channel.size):
+            width = frames.stop - frames.start
+            np.abs(channel[frames], out=magnitude[:width])
+            np.greater_equal(magnitude[:width], 1.0, out=clipped[:width])
+            count += np.count_nonzero(clipped[:width])
+        counts.append(int(count))
+    return ClipReport(per_channel=tuple(counts))
 
 
 def should_compress(report: ClipReport) -> bool:
@@ -202,12 +282,18 @@ def _peak_envelope_db(level_db: np.ndarray, release_log: float) -> np.ndarray:
         # frame can win the max, so the cap changes nothing but keeps the
         # ramp, and its rounding, small for very short releases
         decay_db = min(decay_db, float(np.ptp(level_db)))
-    ramp = np.arange(level_db.size) * decay_db
-    envelope = level_db + ramp
+    # the ramp j*r is made a chunk at a time: np.arange(a, b) * r is the
+    # same float per element as the whole ramp, without a frame-sized one
+    envelope = np.empty_like(level_db)
+    for frames in _chunks(level_db.size):
+        ramp = np.arange(frames.start, frames.stop) * decay_db
+        np.add(level_db[frames], ramp, out=envelope[frames])
     np.maximum.accumulate(envelope, out=envelope)
-    envelope -= ramp
-    # the j == i term exactly, which adding and removing the ramp can round
-    np.maximum(envelope, level_db, out=envelope)
+    for frames in _chunks(level_db.size):
+        chunk = envelope[frames]
+        chunk -= np.arange(frames.start, frames.stop) * decay_db
+        # the j == i term exactly, which adding and removing the ramp can round
+        np.maximum(chunk, level_db[frames], out=chunk)
     return envelope
 
 
@@ -266,13 +352,22 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     """
     if params is None:
         params = CompressorParams()
-    attack_log = -1.0 / (buffer.sample_rate * params.attack_ms / 1000.0)
-    release_log = -1.0 / (buffer.sample_rate * params.release_ms / 1000.0)
+    out = buffer.samples * _compressor_gain(buffer.samples, buffer.sample_rate, params)
+    np.clip(out, -1.0, 1.0, out=out)
+    return buffer.with_samples(out)
+
+
+def _compressor_gain(
+    samples: np.ndarray, sample_rate: int, params: CompressorParams
+) -> np.ndarray:
+    """The compressor's linear gain for each frame of (channels, frames) samples."""
+    attack_log = -1.0 / (sample_rate * params.attack_ms / 1000.0)
+    release_log = -1.0 / (sample_rate * params.release_ms / 1000.0)
 
     # each frame-sized array is computed in place or released once the next
-    # exists, so at most three are alive beside the signal
-    level = np.abs(buffer.samples[0])
-    for channel in buffer.samples[1:]:
+    # exists, so at most two are alive beside the signal
+    level = np.abs(samples[0])
+    for channel in samples[1:]:
         np.maximum(level, np.abs(channel), out=level)
     np.maximum(level, 1e-12, out=level)
     np.log10(level, out=level)
@@ -285,7 +380,4 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     gain = _smooth_gain_db(over_db, attack_log, release_log)
     gain /= 20.0
     np.power(10.0, gain, out=gain)
-
-    out = buffer.samples * gain
-    np.clip(out, -1.0, 1.0, out=out)
-    return buffer.with_samples(out)
+    return gain

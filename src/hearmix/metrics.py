@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .audio import AudioBuffer, ensure_aligned
+from .audio import AudioBuffer, _chunk_scratch, _chunks, ensure_aligned
 from .stems import TRACK_NAMES, StemSet
 
 SDR_CAP_DB = 100.0
@@ -29,14 +29,29 @@ def sdr(reference: AudioBuffer, estimate: AudioBuffer) -> SdrScore:
     permutation-invariant. A zero-error estimate hits the +100 dB cap.
     """
     ensure_aligned(reference, estimate, what="reference and estimate")
-    ref_power = float(np.sum(reference.samples**2))
+    ref_power, err_power = _powers(reference.samples, estimate.samples)
     if ref_power == 0.0:
         raise ValueError("SDR is undefined for an all-zero reference")
-    err_power = float(np.sum((reference.samples - estimate.samples) ** 2))
     if err_power == 0.0:
         return SdrScore(SDR_CAP_DB)
     value = 10.0 * np.log10(ref_power / err_power)
     return SdrScore(float(np.clip(value, -SDR_CAP_DB, SDR_CAP_DB)))
+
+
+def _powers(reference: np.ndarray, estimate: np.ndarray) -> tuple[float, float]:
+    """The summed squares of ``reference`` and of ``reference - estimate``,
+    chunk by chunk through one chunk of scratch."""
+    ref_power = err_power = 0.0
+    scratch = _chunk_scratch(reference)
+    for frames in _chunks(reference.shape[1]):
+        r = reference[:, frames]
+        x = scratch[:, : frames.stop - frames.start]
+        np.multiply(r, r, out=x)
+        ref_power += float(x.sum())
+        np.subtract(r, estimate[:, frames], out=x)
+        np.multiply(x, x, out=x)
+        err_power += float(x.sum())
+    return ref_power, err_power
 
 
 @dataclass(frozen=True)

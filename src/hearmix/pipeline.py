@@ -13,16 +13,27 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, _read_json, db_to_linear, ensure_aligned, read_wav, write_wav
-from .hearing import DEFAULT_NALR_TAPS, Listener, load_listener, nalr_process
+from .audio import (
+    AudioBuffer,
+    _chunk_scratch,
+    _chunks,
+    _read_json,
+    db_to_linear,
+    ensure_aligned,
+    read_wav,
+    write_wav,
+)
+from .hearing import DEFAULT_NALR_TAPS, Listener, _check_n_taps, _nalr_in_place, load_listener
 from .levels import (
     CLIP_TRIGGER_COUNT,
     CompressorParams,
     UndefinedLoudnessError,
-    compress,
+    _compressor_gain,
+    _gated_lufs,
+    _LoudnessMeter,
+    _normalizing_gain,
     count_clipped,
     integrated_loudness,
-    normalize_to_loudness,
     should_compress,
 )
 from .metrics import EnhanceReport
@@ -30,8 +41,6 @@ from .stems import (
     TRACK_NAMES,
     StemSet,
     _averaged_chunks,
-    _chunk_scratch,
-    _chunks,
     _ensemble_weights,
     _spec_files,
     blend_other,
@@ -111,6 +120,7 @@ class EnhanceOptions:
     compressor: CompressorParams = field(default_factory=CompressorParams)
 
     def __post_init__(self):
+        _check_n_taps(self.n_taps)
         if self.ensemble_weights is not None:
             object.__setattr__(self, "ensemble_weights", tuple(self.ensemble_weights))
 
@@ -124,15 +134,35 @@ class EnhanceOptions:
 
 def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     """Sum the tracks scaled to the requested gains; muted tracks add zero."""
+    return stems.vocals.with_samples(_remix(stems, gains))
+
+
+def _remix(
+    stems: StemSet,
+    gains: GainSpec,
+    meter: _LoudnessMeter | None = None,
+    unit_meter: _LoudnessMeter | None = None,
+) -> np.ndarray:
+    """``remix`` in chunks of frames, feeding each finished chunk of the
+    output to ``meter`` and the tracks' plain sum (the remix at 0 dB, the
+    same bits since x * 1.0 is x) to ``unit_meter``."""
     scales = _linear_gains(gains)
     out = np.empty_like(stems.vocals.samples)
     term = _chunk_scratch(out)
+    unit = _chunk_scratch(out) if unit_meter is not None else None
     for frames in _chunks(stems.n_frames):
-        product = term[:, : frames.stop - frames.start]
+        width = frames.stop - frames.start
+        product = term[:, :width]
         for name in TRACK_NAMES:
             x = stems.track(name).samples[:, frames]
             _scale_add(out[:, frames], x, scales[name], name == TRACK_NAMES[0], product)
-    return stems.vocals.with_samples(out)
+            if unit is not None:
+                _scale_add(unit[:, :width], x, 1.0, name == TRACK_NAMES[0], product)
+        if unit_meter is not None:
+            unit_meter.feed(unit[:, :width])
+        if meter is not None:
+            meter.feed(out[:, frames])
+    return out
 
 
 def _linear_gains(gains: GainSpec) -> dict[str, float]:
@@ -154,11 +184,10 @@ def _require_stereo(signal: AudioBuffer, caller: str) -> None:
         raise ValueError(f"{caller} needs a stereo mix, got {signal.channels} channel(s)")
 
 
-def _loudness_target(mixture: AudioBuffer) -> float:
-    loudness = integrated_loudness(mixture)
-    if not loudness.is_defined:
+def _loudness_target(mixture_lufs: float | None) -> float:
+    if mixture_lufs is None:
         raise UndefinedLoudnessError("mixture loudness is undefined; cannot set a target")
-    return loudness.value
+    return mixture_lufs
 
 
 def _front_end(
@@ -166,6 +195,7 @@ def _front_end(
     stem_sets: Sequence[StemSet],
     gains: GainSpec,
     options: EnhanceOptions,
+    meter: _LoudnessMeter | None = None,
 ) -> AudioBuffer:
     """Ensemble, residual repair and remix in one pass over the song.
 
@@ -175,7 +205,9 @@ def _front_end(
     its gain and added to the output. Every operation on a sample runs in
     the order of ``ensemble_average`` → ``compute_residual`` →
     ``blend_other`` → ``remix``, so the result is the same bits as
-    composing them. Beside the output, only chunk-sized arrays are alive.
+    composing them. Each finished chunk of the output goes to ``meter``
+    while it is still in cache. Beside the output, only chunk-sized arrays
+    are alive.
     """
     w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
     scales = _linear_gains(gains)
@@ -193,7 +225,28 @@ def _front_end(
                 r -= mean
         # the mean is scratch space, so the scaled track is written into it
         _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
+        if meter is not None and name == TRACK_NAMES[-1]:
+            meter.feed(out[:, frames])
     return mix.with_samples(out)
+
+
+def _meter_for(signal: AudioBuffer) -> _LoudnessMeter:
+    return _LoudnessMeter(signal.channels, signal.n_frames, signal.sample_rate)
+
+
+def _normalize_and_amplify(
+    samples: np.ndarray,
+    sample_rate: int,
+    meter: _LoudnessMeter,
+    target_lufs: float,
+    listener: Listener,
+    n_taps: int,
+) -> None:
+    """Loudness normalization and NAL-R, written over ``samples``: the gain
+    comes from the meter that ``samples`` was fed to, and scales each block
+    of input as NAL-R reads it."""
+    gain = _normalizing_gain(meter.block_powers(), target_lufs)
+    _nalr_in_place(samples, sample_rate, listener, n_taps, gain)
 
 
 def enhance(
@@ -219,12 +272,15 @@ def enhance(
     _require_stereo(mix, "enhance")
 
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
-    target = report.input_loudness_lufs = _loudness_target(mix)
+    target = report.input_loudness_lufs = _loudness_target(integrated_loudness(mix).value)
 
-    # each stage's output replaces its input, so NAL-R runs beside one other signal
-    signal = _front_end(mix, stem_sets, gains, options)
-    signal = normalize_to_loudness(signal, target)
-    signal = nalr_process(signal, listener, options.n_taps)
+    # one song-sized signal: the front end writes it while metering it, and
+    # every later stage rewrites it in place
+    meter = _meter_for(mix)
+    signal = _front_end(mix, stem_sets, gains, options, meter)
+    _normalize_and_amplify(
+        signal.samples, signal.sample_rate, meter, target, listener, options.n_taps
+    )
     report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
     report.stages += ["remix", "normalize", "nalr"]
 
@@ -234,7 +290,10 @@ def enhance(
     report.stages.append("clip_check")
 
     if options.use_compressor_heuristic and should_compress(clip_report):
-        signal = compress(signal, options.compressor)
+        # compress(signal), applying the gain and the clip in place
+        samples = signal.samples
+        samples *= _compressor_gain(samples, signal.sample_rate, options.compressor)
+        np.clip(samples, -1.0, 1.0, out=samples)
         report.compressor_applied = True
         report.stages.append("compress")
 
@@ -246,13 +305,17 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
 
     Remix at the requested gains, normalize to the true mixture's loudness,
     and apply NAL-R with ``DEFAULT_NALR_TAPS`` taps. The reference chain
-    never compresses.
+    never compresses. One remix pass meters both the remix and the true
+    mixture, the tracks' plain sum.
     """
     _require_stereo(true_stems.vocals, "build_reference")
-    target = _loudness_target(remix(true_stems, GainSpec(0.0, 0.0, 0.0, 0.0)))
-    signal = remix(true_stems, gains)
-    signal = normalize_to_loudness(signal, target)
-    return nalr_process(signal, listener, DEFAULT_NALR_TAPS)
+    meter, unit_meter = _meter_for(true_stems.vocals), _meter_for(true_stems.vocals)
+    samples = _remix(true_stems, gains, meter, unit_meter)
+    target = _loudness_target(_gated_lufs(unit_meter.block_powers()))
+    _normalize_and_amplify(
+        samples, true_stems.sample_rate, meter, target, listener, DEFAULT_NALR_TAPS
+    )
+    return true_stems.vocals.with_samples(samples)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, ensure_aligned, read_wav
+from .audio import _CHUNK_FRAMES, AudioBuffer, _chunk_scratch, _chunks, ensure_aligned, read_wav
 
 TRACK_NAMES = ("vocals", "drums", "bass", "other")
-
-# frames per chunk of the linear front end (128 KiB per stereo float64
-# array), so its chunk-sized arrays stay in one core's L2 cache. Smaller
-# chunks were slower on a 30 s song from per-chunk overhead; larger ones
-# gained little and raise the peak memory of short songs.
-_CHUNK_FRAMES = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,17 +181,6 @@ def ensemble_average(
     return StemSet(**{name: first.vocals.with_samples(x) for name, x in tracks.items()})
 
 
-def _chunks(n_frames: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_CHUNK_FRAMES`` frames covering a song."""
-    for start in range(0, n_frames, _CHUNK_FRAMES):
-        yield slice(start, min(start + _CHUNK_FRAMES, n_frames))
-
-
-def _chunk_scratch(like: np.ndarray) -> np.ndarray:
-    """An uninitialized array for one chunk of ``like``, in its memory order."""
-    return np.empty_like(like[:, :_CHUNK_FRAMES])
-
-
 def _ensemble_weights(
     stem_sets: Sequence[StemSet], weights: Sequence[float] | None
 ) -> tuple[np.ndarray, np.float64]:
@@ -312,17 +295,28 @@ def salient_segments(
     n_windows = stems.n_frames // segment_frames
     # whole windows at a time, about one front-end chunk of frames per block,
     # so no temporary spans the song; each window still sums its frames in one
-    # reduction, as a reshape of the whole song would
+    # reduction, as a reshape of the whole song would. A frame's energy is
+    # x0**2 + x1**2 + ..., the additions of np.sum(x * x, axis=0), with each
+    # later channel squared a chunk at a time.
     per_block = max(1, _CHUNK_FRAMES // segment_frames)
+    per_frame = np.empty(min(per_block, n_windows) * segment_frames)
+    square = np.empty(min(_CHUNK_FRAMES, per_frame.size))
     energies = {}
     for name in TRACK_NAMES:
-        samples = stems.track(name).samples
+        first_channel, *channels = stems.track(name).samples
         energy = np.empty(n_windows)
         for first in range(0, n_windows, per_block):
             count = min(per_block, n_windows - first)
-            x = samples[:, first * segment_frames : (first + count) * segment_frames]
-            per_frame = np.sum(x * x, axis=0)
-            energy[first : first + count] = per_frame.reshape(count, segment_frames).sum(axis=1)
+            frames = slice(first * segment_frames, (first + count) * segment_frames)
+            block = per_frame[: count * segment_frames]
+            np.multiply(first_channel[frames], first_channel[frames], out=block)
+            for channel in channels:
+                x = channel[frames]
+                for part in _chunks(block.size):
+                    sq = square[: part.stop - part.start]
+                    np.multiply(x[part], x[part], out=sq)
+                    block[part] += sq
+            energy[first : first + count] = block.reshape(count, segment_frames).sum(axis=1)
         energies[name] = energy
 
     total = sum(energies[name] for name in TRACK_NAMES)

@@ -28,7 +28,7 @@ from hearmix import (
     read_wav,
     write_wav,
 )
-from util import make_buffer, quantize
+from util import CHUNK_EDGES, convolution_lengths, make_buffer, quantize
 
 
 def _fmt(buffer, depth):
@@ -130,6 +130,76 @@ class TestAudioBuffer:
 
     def test_duration(self):
         assert make_buffer(np.zeros((2, 44100))).duration == pytest.approx(1.0)
+
+
+def _kernel(rng, kind: str, taps: int = 141) -> np.ndarray:
+    """A symmetric (1, 1, taps) kernel: dense, one centred tap, or all zero."""
+    h = np.zeros(taps)
+    if kind == "dense":
+        h = rng.normal(0.0, 0.1, taps)
+        h = 0.5 * (h + h[::-1])
+    elif kind == "centred_tap":
+        h[taps // 2] = -0.75
+    return h[np.newaxis, np.newaxis]
+
+
+class TestConvolveInPlace:
+    """One row filtered in place against the out-of-place form, bit for bit."""
+
+    @pytest.mark.parametrize("n", sorted(set(CHUNK_EDGES + convolution_lengths(141))))
+    @pytest.mark.parametrize("kind", ["dense", "centred_tap", "zero"])
+    @pytest.mark.parametrize("gain", [1.0, 1.7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_out_of_place_on_the_scaled_input(self, rng, n, kind, gain, order):
+        x = np.array(rng.normal(0.0, 0.3, (2, n)), order=order)
+        x[:, ::7] = -0.0
+        h = _kernel(rng, kind)
+        scaled = x * gain
+        expected = np.empty_like(x)
+        ours = x.copy(order="K")
+        for ch in range(2):
+            audio._convolve_into(expected[ch : ch + 1], scaled[ch : ch + 1], h, 70)
+            row = ours[ch : ch + 1]
+            audio._convolve_into(row, row, h, 70, gain)
+        assert np.array_equal(ours, expected)
+        assert np.array_equal(np.signbit(ours), np.signbit(expected))
+
+    @pytest.mark.parametrize("kind", ["dense", "centred_tap"])
+    def test_gain_out_of_place_is_the_scaled_input(self, rng, kind):
+        x = rng.normal(0.0, 0.3, (1, 3 * 8192 + 5))
+        h = _kernel(rng, kind)
+        expected, ours = np.empty_like(x), np.empty_like(x)
+        audio._convolve_into(expected, x * 0.3, h, 70)
+        audio._convolve_into(ours, x, h, 70, 0.3)
+        assert np.array_equal(ours, expected)
+
+    def test_scratch_does_not_grow_with_the_song(self, rng):
+        h = _kernel(rng, "dense")
+        peaks = []
+        for seconds in (2, 6):
+            x = rng.normal(0.0, 0.3, (1, seconds * 44100))
+            tracemalloc.start()
+            try:
+                audio._convolve_into(x, x, h, 70, 1.7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a fixed number of blocks: no more for the 6 s row than for the 2 s
+        # one, and about a third of the 6 s row
+        assert peaks[1] <= peaks[0] + 4096
+        assert peaks[1] <= 0.35 * x.nbytes
+
+    def test_rejects_an_off_centre_tap(self, rng):
+        x = rng.normal(0.0, 0.3, (1, 100))
+        h = np.zeros((1, 1, 141))
+        h[0, 0, 3] = 1.0
+        with pytest.raises(ValueError, match="one tap at 70, got 3"):
+            audio._convolve_into(x, x, h, 70)
+
+    def test_rejects_more_than_one_row(self, rng):
+        x = rng.normal(0.0, 0.3, (2, 100))
+        with pytest.raises(ValueError, match="filters one row, got 2"):
+            audio._convolve_into(x, x, np.ones((2, 2, 3)), 1)
 
 
 class TestEnsureAligned:

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from hearmix import AudioBuffer, CompressorParams, read_wav, write_wav
+from hearmix import AudioBuffer, CompressorParams, cli, pipeline, read_wav, write_wav
+from hearmix import stems as stems_module
 from hearmix.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -115,6 +116,28 @@ class TestEnhanceCommand:
         )
         assert rc == EXIT_FAILURE
         assert "attack_ms must be finite" in capsys.readouterr().err
+        assert not (song / "enhanced.wav").exists()
+
+    @pytest.mark.parametrize("taps", ["64", "63", "1"])
+    def test_bad_taps_fail_before_any_file_is_read(self, song, capsys, monkeypatch, taps):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        for module in (cli, pipeline, stems_module):
+            monkeypatch.setattr(module, "read_wav", no_read)
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--gains", str(song / "gains.json"),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+                "--taps", taps,
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert "ValueError: n_taps must be " in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
     def test_weights_whose_sum_overflows_fail_without_output(self, song, capsys):
@@ -355,6 +378,26 @@ class TestBatchCommand:
         assert "song1" in err
         assert err.splitlines()[0].startswith("job song1 failed: FileNotFoundError: ")
         assert _summary(err) == (2, 1)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_before_the_manifest_is_read(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        def no_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        rc = main(
+            [
+                "batch",
+                "--manifest", str(tmp_path / "manifest.json"),
+                "--report", str(tmp_path / "report.json"),
+                "--workers", workers,
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_malformed_manifest_is_fatal(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{not json")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -19,7 +20,8 @@ from hearmix import (
     should_compress,
 )
 from hearmix import levels
-from util import make_buffer, sine_buffer
+from hearmix.audio import _CHUNK_FRAMES
+from util import CHUNK_EDGES, make_buffer, sine_buffer
 
 # the scan and running max may differ from the loops by float rounding only
 ORACLE_TOL_DB = 1e-9
@@ -181,6 +183,35 @@ class TestBlockPowers:
         assert peak / buffer.samples.nbytes <= 1.05
 
 
+class TestChunkFedMeter:
+    """The meter fed a signal in pieces against one whole-song pass, bit for bit."""
+
+    # at 8 kHz a block is 3200 frames, so every length from one chunk up
+    # holds blocks; the cuts land on and either side of block edges, and
+    # small pieces are gathered into spans of one chunk, which a large
+    # piece may straddle
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("cuts", [(797,), (800,), (_CHUNK_FRAMES,), (797, 20_000)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_whole_song_pass(self, rng, n, cuts, order):
+        samples = np.array(rng.normal(0.0, 0.2, (2, n)), order=order)
+        samples[:, ::13] = -0.0
+        whole = levels._block_powers(make_buffer(samples, 8000))
+        meter = levels._LoudnessMeter(2, n, 8000)
+        a = 0
+        for cut in itertools.cycle(cuts):
+            if a >= n:
+                break
+            meter.feed(samples[:, a : a + cut])
+            a += cut
+        ours = meter.block_powers()
+        if whole is None:
+            assert n < 3200 and ours is None
+            return
+        assert np.array_equal(ours, whole)
+        assert np.array_equal(np.signbit(ours), np.signbit(whole))
+
+
 class TestNormalizeToLoudness:
     def test_already_at_target_keeps_gain_near_one(self):
         tone = sine_buffer(997.0, 3.0, amplitude=0.25)
@@ -260,6 +291,18 @@ class TestClipCounting:
         forward = count_clipped(make_buffer(samples))
         swapped = count_clipped(make_buffer(samples[::-1]))
         assert forward.per_channel == swapped.per_channel[::-1]
+
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_chunked_count_matches_the_whole_channel_formula(self, rng, n, order):
+        samples = np.array(rng.uniform(-1.5, 1.5, (2, n)), order=order)
+        samples[0, ::5] = 1.0
+        samples[1, ::9] = -1.0
+        expected = tuple(int(np.count_nonzero(np.abs(ch) >= 1.0)) for ch in samples)
+        counts = count_clipped(make_buffer(samples)).per_channel
+        assert counts == expected
+        assert all(type(c) is int for c in counts)  # reports serialize them as JSON
 
 
 class TestShouldCompress:
@@ -449,3 +492,24 @@ class TestCompressorOracles:
         level_db = 20.0 * np.log10(level)
         ours = levels._peak_envelope_db(level_db.copy(), -1.0 / (44100 * 0.1))
         assert np.all(ours >= level_db)
+
+
+def whole_ramp_envelope_db(level_db: np.ndarray, release_log: float) -> np.ndarray:
+    """The running-max envelope with one frame-sized ramp: the form the
+    chunked ramp must reproduce bit for bit."""
+    decay_db = -20.0 * math.log10(math.e) * release_log
+    if level_db.size:
+        decay_db = min(decay_db, float(np.ptp(level_db)))
+    ramp = np.arange(level_db.size) * decay_db
+    envelope = np.maximum.accumulate(level_db + ramp)
+    envelope -= ramp
+    return np.maximum(envelope, level_db)
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+@pytest.mark.parametrize("release_ms", [0.05, 100.0])
+def test_chunked_ramp_is_the_whole_ramp(rng, n, release_ms):
+    level_db = 20.0 * np.log10(rng.uniform(1e-3, 1.5, n))
+    release_log = -1.0 / (44100 * release_ms / 1000.0)
+    ours = levels._peak_envelope_db(level_db, release_log)
+    assert np.array_equal(ours, whole_ramp_envelope_db(level_db, release_log))

@@ -11,7 +11,7 @@ from hearmix import (
     evaluate_song,
     sdr,
 )
-from util import make_buffer, synth_stems
+from util import CHUNK_EDGES, make_buffer, peak_buffers, synth_stems
 
 
 class TestSdr:
@@ -77,6 +77,26 @@ class TestSdr:
         b = make_buffer(rng.normal(0, 0.1, (2, 101)))
         with pytest.raises(AlignmentError):
             sdr(a, b)
+
+
+class TestSdrChunks:
+    """Powers summed chunk by chunk against the whole-array formula."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_whole_array_formula(self, rng, n, order):
+        ref = np.array(rng.normal(0.0, 0.3, (2, n)), order=order)
+        est = np.array(ref + rng.normal(0.0, 0.05, (2, n)), order=order)
+        expected = 10.0 * np.log10(np.sum(ref**2) / np.sum((ref - est) ** 2))
+        ours = sdr(make_buffer(ref), make_buffer(est)).value
+        assert ours == pytest.approx(expected, rel=1e-12)
+
+    def test_holds_no_song_sized_temporary(self, rng):
+        ref = make_buffer(rng.normal(0.0, 0.3, (2, 3 * 44100)))
+        est = ref.with_samples(0.9 * ref.samples)
+        score, peak = peak_buffers(ref, sdr, ref, est)
+        assert score.value == pytest.approx(20.0, abs=1e-9)
+        assert peak <= 0.15
 
 
 class TestEvaluateSong:

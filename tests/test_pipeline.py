@@ -10,6 +10,7 @@ from hearmix import (
     MUTE,
     STAGE_ORDER,
     AlignmentError,
+    ClipReport,
     CrosstalkKernel,
     EnhanceOptions,
     GainSpec,
@@ -22,6 +23,7 @@ from hearmix import (
     build_reference,
     compress,
     compute_residual,
+    count_clipped,
     db_to_linear,
     enhance,
     ensemble_average,
@@ -34,9 +36,11 @@ from hearmix import (
     remix,
     run_batch,
     sdr,
+    should_compress,
 )
 from hearmix import hearing, pipeline
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
+from hearmix.audio import _CHUNK_FRAMES
 from hearmix.stems import TRACK_NAMES
 from util import (
     CHUNK_EDGES,
@@ -211,7 +215,78 @@ class TestFrontEnd:
             pipeline._front_end(loud, [stems, stems], UNIT_GAINS, options)
 
 
+def _composed_chain(mix, sets, gains, listener, options):
+    """The public stages one after another: what ``enhance`` must equal."""
+    signal = pipeline._front_end(mix, sets, gains, options)
+    signal = normalize_to_loudness(signal, integrated_loudness(mix).value)
+    signal = nalr_process(signal, listener, options.n_taps)
+    report = count_clipped(signal)
+    if options.use_compressor_heuristic and should_compress(report):
+        signal = compress(signal, options.compressor)
+    return signal.samples, report.per_channel
+
+
+class TestChainInPlace:
+    """The metered, in-place chain against the composition of the public stages."""
+
+    # at least one 400 ms loudness block, ending on and either side of a chunk
+    LENGTHS = (17640, 3 * _CHUNK_FRAMES, 3 * _CHUNK_FRAMES + 1, 5 * _CHUNK_FRAMES + 17)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_frames", LENGTHS)
+    @pytest.mark.parametrize(
+        "listener, use_residual",
+        [(ZERO_LISTENER, True), (flat_listener(45.0), False), (flat_listener(70.0), True)],
+        ids=["zero_loss", "moderate", "severe"],
+    )
+    def test_enhance_is_the_stage_composition(self, rng, n_frames, listener, use_residual, order):
+        mix, sets = random_stem_sets(rng, n_frames, 2, order)
+        options = EnhanceOptions(use_residual=use_residual)
+        gains = GainSpec(3.0, -2.0, MUTE, 1.5)
+        expected, clipped = _composed_chain(mix, sets, gains, listener, options)
+        out, report = enhance(mix, sets, gains, listener, options)
+        assert report.clipped_samples == clipped
+        assert report.compressor_applied == should_compress(ClipReport(clipped))
+        assert np.array_equal(out.samples, expected)
+        assert np.array_equal(np.signbit(out.samples), np.signbit(expected))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_compressor_in_place_is_compress(self, rng, order):
+        # long enough for a 70 dB HL listener to clip past the trigger
+        mix, sets = random_stem_sets(rng, 5 * _CHUNK_FRAMES + 17, 2, order)
+        listener, options = flat_listener(70.0), EnhanceOptions()
+        expected, _ = _composed_chain(mix, sets, UNIT_GAINS, listener, options)
+        out, report = enhance(mix, sets, UNIT_GAINS, listener, options)
+        assert report.compressor_applied
+        assert np.array_equal(out.samples, expected)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_frames", LENGTHS)
+    @pytest.mark.parametrize(
+        "gains", [UNIT_GAINS, GainSpec(3.0, -2.0, MUTE, 1.5)], ids=["unit", "mixed_mute"]
+    )
+    def test_build_reference_is_the_stage_composition(self, rng, n_frames, gains, order):
+        _, (truth,) = random_stem_sets(rng, n_frames, 1, order)
+        listener = flat_listener(45.0)
+        target = integrated_loudness(remix(truth, UNIT_GAINS)).value
+        expected = nalr_process(normalize_to_loudness(remix(truth, gains), target), listener)
+        out = build_reference(truth, gains, listener).samples
+        assert np.array_equal(out, expected.samples)
+
+
 class TestEnhanceOptions:
+    @pytest.mark.parametrize(
+        "n_taps, message",
+        [
+            (64, "must be odd, got 64"),
+            (63, "must be >= 65, got 63"),
+            (141.0, "must be an integer, got 141.0"),
+        ],
+    )
+    def test_bad_taps_rejected_on_construction(self, n_taps, message):
+        with pytest.raises(ValueError, match=f"n_taps {message}"):
+            EnhanceOptions(n_taps=n_taps)
+
     def test_echo_round_trips_to_dict(self):
         opts = EnhanceOptions(ensemble_weights=(1.0, 2.0), use_residual=False)
         echo = opts.as_dict()
@@ -372,12 +447,15 @@ class TestPeakMemory:
             mix, enhance, mix, sets, UNIT_GAINS, flat_listener(60.0)
         )
         assert report.compressor_applied
-        assert peak <= 3.0
+        # the signal, the detector's level and envelope (half a stereo
+        # buffer each) and chunk-sized scratch: 2.20 on 3 s
+        assert peak <= 2.45
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_enhance_without_the_compressor_holds_two_signals(self, rng, k):
-        # the front end's output is freed once normalized, so NAL-R runs
-        # beside the normalized signal only
+    def test_enhance_without_the_compressor_holds_one_signal(self, rng, k):
+        # the front end's output is metered as it is written, then scaled,
+        # filtered and counted in place: 1.32 on 3 s, where the chunk-sized
+        # scratch weighs more than on a song
         truth = synth_stems(rng, seconds=3.0)
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 20.0, seed=s).stems() for s in range(k)]
@@ -385,7 +463,7 @@ class TestPeakMemory:
             mix, enhance, mix, sets, UNIT_GAINS, ZERO_LISTENER, NO_COMP
         )
         assert not report.compressor_applied
-        assert peak <= 2.5
+        assert peak <= 1.5
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_front_end_holds_its_output_and_chunks(self, rng, k):
@@ -400,7 +478,9 @@ class TestPeakMemory:
         _, peak = peak_buffers(
             truth.vocals, build_reference, truth, UNIT_GAINS, flat_listener(60.0)
         )
-        assert peak <= 2.5
+        # one remix pass feeds both meters, and NAL-R runs in place: 1.39 on
+        # 3 s, where each meter's span of one chunk weighs more than on a song
+        assert peak <= 1.5
 
     def test_compress_holds_few_buffers(self, rng):
         # the output is one buffer; the detector and smoother add frame-sized
@@ -429,8 +509,8 @@ class TestBuildReference:
         def stage_ran(*args, **kwargs):
             raise AssertionError("build_reference ran a stage on mono stems")
 
-        monkeypatch.setattr(pipeline, "remix", stage_ran)
-        monkeypatch.setattr(pipeline, "normalize_to_loudness", stage_ran)
+        monkeypatch.setattr(pipeline, "_remix", stage_ran)
+        monkeypatch.setattr(pipeline, "_nalr_in_place", stage_ran)
         stems = synth_stems(rng, seconds=0.5, channels=1)
         with pytest.raises(ValueError, match="build_reference needs a stereo mix"):
             build_reference(stems, UNIT_GAINS, ZERO_LISTENER)

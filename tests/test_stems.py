@@ -406,6 +406,14 @@ class TestSalientSegments:
         assert len(segments) == 12
         assert peak <= 0.5
 
+    def test_long_windows_hold_no_squared_copy(self, rng):
+        # one 1 s window is a sixth of the 3 s stereo song: its per-frame
+        # energies are the only window-sized array
+        _, (stems,) = random_stem_sets(rng, 3 * 44100, 1)
+        segments, peak = peak_buffers(stems.vocals, salient_segments, stems, "vocals", 44100, 0.0)
+        assert len(segments) == 3
+        assert peak <= 0.25
+
 
 class TestProviders:
     def test_directory_round_trip(self, rng, tmp_path):
