@@ -24,6 +24,11 @@ _SCAN_BLOCK = 1024  # samples per block of the gain smoother's scan
 # largest log-decay (nepers) one scan block may span: exp(-600) and its
 # inverse are both finite in float64
 _MAX_BLOCK_DECAY = 600.0
+# most dB by which the detector may exceed the threshold. Float64 sample
+# levels span about 6,400 dB, so only a threshold below about -1e6 dB is
+# ever capped, and the gain 10**(-1e6/20) is already 0. The cap keeps the
+# scan's terms, divided by a decay of down to exp(-600), finite.
+_MAX_OVER_DB = 1e6
 
 _BLOCK_SECONDS = 0.4
 _HOP_SECONDS = 0.1
@@ -375,7 +380,7 @@ def _compressor_gain(
     over_db = _peak_envelope_db(level, release_log)
     del level
     over_db -= params.threshold_db
-    np.maximum(over_db, 0.0, out=over_db)
+    np.clip(over_db, 0.0, _MAX_OVER_DB, out=over_db)
     over_db *= 1.0 / params.ratio - 1.0
     gain = _smooth_gain_db(over_db, attack_log, release_log)
     gain /= 20.0

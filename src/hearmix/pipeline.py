@@ -6,6 +6,9 @@ clip. Also builds ground-truth references and runs manifest batches.
 
 from __future__ import annotations
 
+import json
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -42,9 +45,9 @@ from .stems import (
     StemSet,
     _averaged_chunks,
     _ensemble_weights,
+    _load_stems,
     _spec_files,
     blend_other,
-    provider_from_spec,
 )
 
 # canonical stage order; configurations may skip stages but never reorder them
@@ -230,6 +233,32 @@ def _front_end(
     return mix.with_samples(out)
 
 
+class _SharedMix(AudioBuffer):
+    """A mixture that the batch jobs naming it share, with read-only
+    samples. The first job to need its integrated loudness measures it for
+    all of them."""
+
+    def __init__(self, mix: AudioBuffer):
+        super().__init__(mix.samples, mix.sample_rate)
+        self.samples.flags.writeable = False
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_lufs", [])  # empty until measured
+
+    def lufs(self) -> float | None:
+        with self._lock:
+            # a measurement that raises keeps nothing, so each job raises its own
+            if not self._lufs:
+                self._lufs.append(integrated_loudness(self).value)
+            return self._lufs[0]
+
+
+def _mix_lufs(mix: AudioBuffer) -> float | None:
+    """The mixture's integrated loudness, measured once per shared mix."""
+    if isinstance(mix, _SharedMix):
+        return mix.lufs()
+    return integrated_loudness(mix).value
+
+
 def _meter_for(signal: AudioBuffer) -> _LoudnessMeter:
     return _LoudnessMeter(signal.channels, signal.n_frames, signal.sample_rate)
 
@@ -272,7 +301,7 @@ def enhance(
     _require_stereo(mix, "enhance")
 
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
-    target = report.input_loudness_lufs = _loudness_target(integrated_loudness(mix).value)
+    target = report.input_loudness_lufs = _loudness_target(_mix_lufs(mix))
 
     # one song-sized signal: the front end writes it while metering it, and
     # every later stage rewrites it in place
@@ -403,36 +432,140 @@ def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
                 )
 
 
-def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
-    """Load one job's inputs, enhance the song and write its output, creating
-    the output folder. Stem specs resolve against ``base_dir``. Errors propagate."""
-    mix = read_wav(job.mix_path)
-    stem_sets = [provider_from_spec(spec, base_dir).stems() for spec in job.stem_specs]
+def _load_song(job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]]:
+    """A job's mixture and stem sets, read-only so that jobs can share them."""
+    mix = _SharedMix(read_wav(job.mix_path))
+    return mix, [_load_stems(spec, base_dir) for spec in job.stem_specs]
+
+
+def _finish_job(
+    job: BatchJob, song: tuple[_SharedMix, list[StemSet]], options: EnhanceOptions
+) -> EnhanceReport:
+    """Load the job's gains and listener, enhance its song and write the output."""
     gains = load_gains(job.gains_path)
     listener = load_listener(job.listener_path)
+    mix, stem_sets = song
     output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)
     job.output_path.parent.mkdir(parents=True, exist_ok=True)
     write_wav(output, job.output_path)
     return report
 
 
+def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
+    """Load one job's inputs, enhance the song and write its output, creating
+    the output folder. Stem specs resolve against ``base_dir``. Errors propagate."""
+    return _finish_job(job, _load_song(job, base_dir), options)
+
+
+class _Group:
+    """The jobs of a manifest that load the same mixture and stems, and the
+    song they share once one of them has loaded it."""
+
+    def __init__(self):
+        self.pending: deque[int] = deque()  # manifest indexes not yet started
+        self.unfinished = 0
+        self._lock = threading.Lock()
+        self._song: tuple[_SharedMix, list[StemSet]] | str | None = None
+
+    def song(self, job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]] | str:
+        """The loaded song, or the ``Type: message`` of the load that failed."""
+        with self._lock:
+            if self._song is None:
+                try:
+                    self._song = _load_song(job, base_dir)
+                except Exception as exc:
+                    self._song = _error_text(exc)
+            return self._song
+
+    def drop(self) -> None:
+        self._song = None
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _group_jobs(jobs: Sequence[BatchJob]) -> list[_Group]:
+    """Jobs grouped by resolved mixture path and stem specs, in order of
+    first appearance."""
+    groups: dict[tuple[Path, str], _Group] = {}
+    for i, job in enumerate(jobs):
+        key = (job.mix_path.resolve(), json.dumps(job.stem_specs, sort_keys=True))
+        group = groups.setdefault(key, _Group())
+        group.pending.append(i)
+        group.unfinished += 1
+    return list(groups.values())
+
+
+class _Schedule:
+    """Hands jobs to ``workers`` threads with at most ``workers`` groups,
+    and so songs, open at once.
+
+    A free thread opens the next group while fewer than ``workers`` are
+    open, and otherwise takes the next pending job of the oldest open
+    group. A group stays open while it has a job pending or running, so
+    one of the open groups always has a job for a free thread.
+    """
+
+    def __init__(self, groups: list[_Group], workers: int):
+        self._unopened = deque(groups)
+        self._open: list[_Group] = []
+        self._workers = workers
+        self._lock = threading.Lock()
+
+    def take(self) -> tuple[_Group, int] | None:
+        with self._lock:
+            if len(self._open) < self._workers and self._unopened:
+                group = self._unopened.popleft()
+                self._open.append(group)
+            else:
+                group = next((g for g in self._open if g.pending), None)
+                if group is None:
+                    return None
+            return group, group.pending.popleft()
+
+    def done(self, group: _Group) -> None:
+        with self._lock:
+            group.unfinished -= 1
+            if not group.unfinished:
+                self._open.remove(group)
+                group.drop()
+
+
 def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
     """Run every manifest job on ``workers`` threads with the default
     ``EnhanceOptions``, isolating per-job failures.
 
-    Failed jobs yield a report with the ``error`` field set instead of
-    aborting the batch; reports come back in manifest order.
+    Jobs that name the same mixture and stem specs share one read-only load
+    of them and one measurement of the mixture's loudness; at most
+    ``workers`` songs are loaded at once. Failed jobs yield a report with
+    the ``error`` field set instead of aborting the batch; reports come
+    back in manifest order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     options = EnhanceOptions()
+    jobs = manifest.jobs
+    reports: list[EnhanceReport | None] = [None] * len(jobs)
+    schedule = _Schedule(_group_jobs(jobs), workers)
 
-    def isolated(job: BatchJob) -> EnhanceReport:
+    def isolated(group: _Group, job: BatchJob) -> EnhanceReport:
         try:
-            return run_job(job, manifest.base_dir, options)
+            song = group.song(job, manifest.base_dir)
+            if not isinstance(song, str):
+                return _finish_job(job, song, options)
+            error = song
         except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            return EnhanceReport(song_id=job.song_id, options=options.as_dict(), error=error)
+            error = _error_text(exc)
+        return EnhanceReport(song_id=job.song_id, options=options.as_dict(), error=error)
+
+    def work() -> None:
+        while (task := schedule.take()) is not None:
+            group, i = task
+            reports[i] = isolated(group, jobs[i])
+            schedule.done(group)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(isolated, manifest.jobs))
+        for worker in [pool.submit(work) for _ in range(min(workers, len(jobs)))]:
+            worker.result()
+    return reports

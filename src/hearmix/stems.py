@@ -152,6 +152,15 @@ def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleSte
     return NoisyOracleStemProvider(truth, spec["snr_db"], spec["seed"])
 
 
+def _load_stems(spec, base_dir) -> StemSet:
+    """The stem set a manifest spec names, with read-only samples so that
+    the jobs which name the same spec can share it."""
+    stems = provider_from_spec(spec, base_dir).stems()
+    for buffer in stems.buffers():
+        buffer.samples.flags.writeable = False
+    return stems
+
+
 def _spec_files(spec, base_dir: Path) -> dict[str, Path]:
     """The stem files a manifest spec reads, by track; none when the spec
     names no folder (``provider_from_spec`` rejects it when the job runs)."""
@@ -219,9 +228,10 @@ def _averaged_chunks(
     ``_ensemble_weights`` accepted with weights ``w`` summing to ``total``.
 
     ``mean`` is the weighted mean of that track over those frames, summed
-    first and divided once, which keeps equal-weight averages and one-hot
-    selections exact. It is scratch space that the next step overwrites,
-    so the caller may change it in place.
+    first and divided once (not at all when the weights sum to exactly 1),
+    which keeps equal-weight averages and one-hot selections exact. It is
+    scratch space that the next step overwrites, so the caller may change
+    it in place.
     """
     sources = {name: [s.track(name).samples for s in stem_sets] for name in TRACK_NAMES}
     acc = _chunk_scratch(stem_sets[0].vocals.samples)
@@ -235,17 +245,25 @@ def _averaged_chunks(
                 with np.errstate(over="raise"):
                     # 0 + w[0]*x[0] + w[1]*x[1] + ...: IEEE addition commutes,
                     # so adding 0.0 to the first product is the same bits as
-                    # adding that product to zeros (-0.0 becomes +0.0)
-                    np.multiply(first[:, frames], w[0], out=mean)
-                    mean += 0.0
+                    # adding that product to zeros (-0.0 becomes +0.0). A
+                    # weight of exactly 1.0 is not multiplied: x * 1.0 is x
+                    if w[0] == 1.0:
+                        np.add(first[:, frames], 0.0, out=mean)
+                    else:
+                        np.multiply(first[:, frames], w[0], out=mean)
+                        mean += 0.0
                     for weight, x in zip(w[1:], rest):
-                        np.multiply(x[:, frames], weight, out=product)
-                        mean += product
+                        if weight == 1.0:
+                            mean += x[:, frames]
+                        else:
+                            np.multiply(x[:, frames], weight, out=product)
+                            mean += product
             except FloatingPointError:
                 raise ValueError(
                     f"ensemble weights {w.tolist()} overflow the weighted sum of the {name} track"
                 ) from None
-            mean /= total
+            if total != 1.0:  # x / 1.0 is x
+                mean /= total
             yield frames, name, mean
 
 

@@ -335,6 +335,19 @@ class TestCompressor:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CompressorParams(**{field: value})
 
+    @pytest.mark.parametrize("threshold_db", [-1e307, -1e100, 1e307])
+    @pytest.mark.parametrize("ratio", [6.0, 1e308])
+    @pytest.mark.parametrize("attack_ms", [1e-320, 0.01, 5.0, 1e308])
+    @pytest.mark.parametrize("release_ms", [1e-320, 0.05, 100.0, 1e308])
+    def test_extreme_finite_params_run_warning_free(
+        self, rng, threshold_db, ratio, attack_ms, release_ms
+    ):
+        # any warning fails the test: the suite turns warnings into errors
+        buf = make_buffer(rng.normal(0, 0.5, (2, 1_000)))
+        params = CompressorParams(threshold_db, ratio, attack_ms, release_ms)
+        out = compress(buf, params).samples
+        assert np.all(np.isfinite(out)) and np.max(np.abs(out)) <= 1.0
+
     def test_below_threshold_is_identity(self, rng):
         buf = make_buffer(rng.uniform(-0.4, 0.4, (2, 20_000)))
         out = compress(buf, CompressorParams(threshold_db=-6.0))

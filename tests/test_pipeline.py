@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +41,9 @@ from hearmix import (
     run_batch,
     sdr,
     should_compress,
+    write_wav,
 )
-from hearmix import hearing, pipeline
+from hearmix import hearing, pipeline, stems as stems_module
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
 from hearmix.audio import _CHUNK_FRAMES
 from hearmix.stems import TRACK_NAMES
@@ -730,3 +735,214 @@ class TestBatch:
         path.write_text(json.dumps({"jobs": []}))
         with pytest.raises(ValueError, match="workers"):
             run_batch(load_manifest(path), workers=0)
+
+
+class TestSharedLoading:
+    """Batch jobs that name the same mixture and stems load them once."""
+
+    LISTENERS = (
+        ZERO_LISTENER,
+        Listener(
+            "severe",
+            Audiogram(AUDIOMETRIC_FREQUENCIES, (40.0, 50.0, 60.0, 70.0, 80.0, 85.0)),
+            Audiogram(AUDIOMETRIC_FREQUENCIES, (5.0, 10.0, 20.0, 30.0, 30.0, 35.0)),
+        ),
+    )
+
+    def _manifest(self, tmp_path, rng, songs=2, listeners=2, k=2, seconds=0.5):
+        """S songs with K stem folders each, every song enhanced for L
+        listeners; jobs run listener-major (s0..sN, then s0..sN again)."""
+        for s in range(songs):
+            truth = synth_stems(rng, seconds=seconds)
+            (tmp_path / f"song{s}").mkdir()
+            write_wav(exact_mix(truth), tmp_path / f"song{s}" / "mix.wav")
+            for j in range(k):
+                noisy = NoisyOracleStemProvider(truth, 20.0, seed=j).stems()
+                write_stems_dir(noisy, tmp_path / f"song{s}" / f"sep{j}")
+        jobs = []
+        for who, listener in enumerate(self.LISTENERS[:listeners]):
+            write_listener_file(tmp_path / f"listener{who}.json", listener)
+            for s in range(songs):
+                song_id = f"s{s}l{who}"
+                write_gains_file(tmp_path / f"{song_id}.json", vocals=3.0 * who, drums=-who)
+                jobs.append(
+                    {
+                        "song_id": song_id,
+                        "mix": f"song{s}/mix.wav",
+                        "stems": [f"song{s}/sep{j}" for j in range(k)],
+                        "gains": f"{song_id}.json",
+                        "listener": f"listener{who}.json",
+                        "out": f"out/{song_id}.wav",
+                    }
+                )
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        return load_manifest(path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_song_is_decoded_and_measured_once(self, tmp_path, rng, monkeypatch, workers):
+        songs, listeners, k = 3, 2, 2
+        manifest = self._manifest(tmp_path, rng, songs, listeners, k)
+        decoded, measured = [], []
+
+        def counting(calls, fn):
+            return lambda *args, **kwargs: calls.append(args[0]) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_wav", counting(decoded, read_wav))
+        monkeypatch.setattr(stems_module, "read_wav", counting(decoded, read_wav))
+        monkeypatch.setattr(
+            pipeline, "integrated_loudness", counting(measured, integrated_loudness)
+        )
+        reports = run_batch(manifest, workers=workers)
+        assert all(r.error is None for r in reports)
+        assert len(decoded) == len(set(decoded)) == songs * (1 + 4 * k)
+        assert len(measured) == songs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outputs_match_each_job_run_alone(self, tmp_path, rng, workers):
+        manifest = self._manifest(tmp_path, rng)
+        alone = {}
+        for job in manifest.jobs:
+            report = pipeline.run_job(job, manifest.base_dir, EnhanceOptions())
+            alone[job.song_id] = (job.output_path.read_bytes(), report.as_dict())
+            job.output_path.unlink()
+        reports = run_batch(manifest, workers=workers)
+        assert [r.song_id for r in reports] == [job.song_id for job in manifest.jobs]
+        for job, report in zip(manifest.jobs, reports):
+            assert (job.output_path.read_bytes(), report.as_dict()) == alone[job.song_id]
+
+    def test_shared_inputs_are_read_only(self, tmp_path, rng, monkeypatch):
+        manifest = self._manifest(tmp_path, rng)
+        seen = []
+
+        def recording(mix, stem_sets, *args, **kwargs):
+            buffers = [mix] + [b for stem_set in stem_sets for b in stem_set.buffers()]
+            seen.extend(b.samples.flags.writeable for b in buffers)
+            return enhance(mix, stem_sets, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "enhance", recording)
+        reports = run_batch(manifest, workers=2)
+        assert all(r.error is None for r in reports)
+        assert seen and not any(seen)
+
+    def test_failed_load_fails_only_its_jobs(self, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng, songs=3)
+        mix = tmp_path / "song1" / "mix.wav"
+        whole = mix.read_bytes()
+        mix.write_bytes(whole[: len(whole) // 2])
+        reports = run_batch(manifest, workers=2)
+        for job, report in zip(manifest.jobs, reports):
+            if job.song_id.startswith("s1"):
+                assert report.error.startswith("TruncatedFileError: ")
+                assert str(mix) in report.error
+                assert not job.output_path.exists()
+            else:
+                assert report.error is None
+                assert job.output_path.exists()
+
+    @pytest.mark.parametrize(
+        "breakage",
+        ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "truncated_stem",
+         "missing_stem_file", "missing_stem_folder", "bad_listener"],
+    )
+    def test_errors_match_each_job_run_alone(self, tmp_path, rng, breakage):
+        manifest = self._manifest(tmp_path, rng)
+        song = tmp_path / "song0"
+        n_frames = read_wav(song / "mix.wav").n_frames
+        if breakage.startswith("silent_mix"):
+            write_wav(make_buffer(np.zeros((2, n_frames))), song / "mix.wav")
+        if breakage.endswith("bad_gains"):
+            (tmp_path / "s0l1.json").write_text("{}")
+        if breakage == "mono_mix":
+            write_wav(make_buffer(rng.normal(0, 0.1, (1, n_frames))), song / "mix.wav")
+        if breakage == "truncated_stem":
+            whole = (song / "sep1" / "bass.wav").read_bytes()
+            (song / "sep1" / "bass.wav").write_bytes(whole[:-100])
+        if breakage == "missing_stem_file":
+            (song / "sep1" / "other.wav").unlink()
+        if breakage == "missing_stem_folder":
+            for path in (song / "sep0").iterdir():
+                path.unlink()
+            (song / "sep0").rmdir()
+        if breakage == "bad_listener":
+            (tmp_path / "listener1.json").write_text("[]")
+        alone = {}
+        for job in manifest.jobs:
+            try:
+                pipeline.run_job(job, manifest.base_dir, EnhanceOptions())
+                alone[job.song_id] = None
+            except Exception as exc:
+                alone[job.song_id] = f"{type(exc).__name__}: {exc}"
+        assert any(alone.values())
+        for workers in (1, 2):
+            reports = run_batch(manifest, workers=workers)
+            assert {r.song_id: r.error for r in reports} == alone
+
+    def test_at_most_workers_songs_are_held(self, tmp_path, rng):
+        # listener-major: a cache of every song in manifest order would hold all four
+        manifest = self._manifest(tmp_path, rng, songs=4, k=1, seconds=2.0)
+        first = manifest.jobs[0]
+        tracemalloc.start()
+        try:
+            pipeline.run_job(first, manifest.base_dir, EnhanceOptions())
+            tracemalloc.reset_peak()
+            pipeline.run_job(first, manifest.base_dir, EnhanceOptions())
+            one_job = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            reports = run_batch(manifest, workers=1)
+            batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in reports)
+        assert batch <= 1.2 * one_job
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_open_songs_never_exceed_workers(self, tmp_path, rng, monkeypatch, workers):
+        manifest = self._manifest(tmp_path, rng, songs=4, k=1)
+        alive, most = [], []
+
+        def tracking(path):
+            buffer = read_wav(path)
+            alive.append(weakref.ref(buffer.samples))
+            most.append(sum(ref() is not None for ref in alive))
+            return buffer
+
+        monkeypatch.setattr(pipeline, "read_wav", tracking)
+        reports = run_batch(manifest, workers=workers)
+        assert all(r.error is None for r in reports)
+        assert len(alive) == 4 and max(most) <= workers
+
+    def test_many_workers_share_loads_under_fast_switching(self, tmp_path, rng, monkeypatch):
+        # more workers than cores and a short switch interval: a lost update
+        # to the schedule would load a song twice, hold too many or lose a job
+        manifest = self._manifest(tmp_path, rng, songs=5, listeners=2, k=1, seconds=0.45)
+        workers = 4
+        alive, most, measured = [], [], []
+
+        def tracking(path):
+            buffer = read_wav(path)
+            alive.append(weakref.ref(buffer.samples))
+            most.append(sum(ref() is not None for ref in alive))
+            return buffer
+
+        monkeypatch.setattr(pipeline, "read_wav", tracking)
+        monkeypatch.setattr(
+            pipeline,
+            "integrated_loudness",
+            lambda mix: measured.append(mix.n_frames) or integrated_loudness(mix),
+        )
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(
+                target=lambda: reports.extend(run_batch(manifest, workers=workers))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [r.song_id for r in reports] == [job.song_id for job in manifest.jobs]
+        assert all(r.error is None for r in reports)
+        assert len(alive) == len(measured) == 5 and max(most) <= workers

@@ -205,7 +205,11 @@ class TestEnsembleChunks:
     at lengths around the chunk size."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("k, weights", [(1, None), (3, None), (3, (0.2, 1.5, 0.7))])
+    # unit weights and a unit total skip their multiply and divide
+    @pytest.mark.parametrize(
+        "k, weights",
+        [(1, None), (3, None), (3, (0.2, 1.5, 0.7)), (3, (1.0, 0.5, 1.0)), (2, (0.25, 0.75))],
+    )
     @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
     def test_matches_the_whole_song_formula(self, rng, n_frames, k, weights, order):
         _, sets = random_stem_sets(rng, n_frames, k, order)
