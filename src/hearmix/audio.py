@@ -10,10 +10,12 @@ sample rates and raise :class:`AlignmentError` otherwise.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterator
 
@@ -298,11 +300,26 @@ def _reject_constant(literal: str):
 
 
 def _read_json(path):
-    """Parse a UTF-8 JSON file, refusing Python's NaN/Infinity extensions."""
+    """Parse a UTF-8 JSON file, refusing Python's NaN/Infinity extensions
+    and nesting deeper than the parser can recurse."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and NaN/Infinity
         raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from exc
+
+
+def _finite_number(value, field: str) -> float:
+    """A number read from JSON (not a boolean) as a finite float, or a
+    ValueError naming ``field``: JSON's ``1e999`` parses to inf, and an
+    integer of 400 digits overflows a float."""
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{field} must be a finite number, got {value!r}")
 
 
 def read_wav(path) -> AudioBuffer:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import freqz
 
-from .audio import AudioBuffer, _convolve_into, _read_json
+from .audio import AudioBuffer, _convolve_into, _finite_number, _read_json
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -103,12 +103,16 @@ def load_listener(path) -> Listener:
     "right_db_hl": [...]}`` with one shared frequency list for both ears.
     """
     doc = _read_json(path)
+
+    def numbers(field: str) -> tuple[float, ...]:
+        return tuple(_finite_number(value, field) for value in doc[field])
+
     try:
-        freqs = tuple(doc["frequencies"])
+        freqs = numbers("frequencies")
         return Listener(
             id=str(doc["id"]),
-            left=Audiogram(freqs, tuple(doc["left_db_hl"])),
-            right=Audiogram(freqs, tuple(doc["right_db_hl"])),
+            left=Audiogram(freqs, numbers("left_db_hl")),
+            right=Audiogram(freqs, numbers("right_db_hl")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad listener file: {exc}") from exc

@@ -113,92 +113,52 @@ def _k_weighting_sos(sample_rate: int) -> np.ndarray:
     return np.array([shelf, highpass])
 
 
-class _LoudnessMeter:
-    """K-weighted power of each 400 ms block of one signal, summed over
-    channels, from the signal's frames fed in order, in chunks.
+def _block_powers(samples: np.ndarray, sample_rate: int) -> np.ndarray | None:
+    """K-weighted power of each 400 ms block of (channels, frames) samples,
+    summed over channels; None when the signal is shorter than one block.
 
-    The K-weighting filter's state and the running energy (the sum of the
-    squares of every frame fed so far) carry from chunk to chunk, and the
-    energy at each block edge is kept as it passes. ``sosfilt`` with a
-    carried ``zi`` continues the recursion exactly, and adding the carried
-    energy to a chunk's first square before its ``cumsum`` repeats the
-    additions of one ``cumsum`` over the song, so the powers are the same
-    bits however the signal is cut. K-weighting is linear, so scaling the
-    signal by g scales every block power by g**2.
+    The signal is filtered and squared in spans of 1/64 of its length (at
+    least one chunk, since each ``sosfilt`` call has a fixed set-up cost).
+    The filter's state and the running energy (the sum of the squares of
+    every frame so far) carry from span to span, and the energy at each
+    block edge is kept as it passes. ``sosfilt`` with a carried ``zi``
+    continues the recursion exactly, and adding the carried energy to a
+    span's first square before its ``cumsum`` repeats the additions of one
+    ``cumsum`` over the song, so the powers are the same bits as one
+    whole-song pass, without a song-sized temporary. K-weighting is linear,
+    so scaling the signal by g scales every block power by g**2.
     """
-
-    def __init__(self, channels: int, n_frames: int, sample_rate: int):
-        if sample_rate < 8000:
-            raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {sample_rate}")
-        self._block = int(round(_BLOCK_SECONDS * sample_rate))
-        hop = int(round(_HOP_SECONDS * sample_rate))
-        self._sos = _k_weighting_sos(sample_rate)
-        self._zi = np.zeros((self._sos.shape[0], channels, 2))
-        self._energy = np.zeros(channels)
-        # block s holds frames s .. s+block-1: its power is the energy
-        # through its last frame less the energy through frame s-1
-        self._starts = np.arange(0, n_frames - self._block + 1, hop)
-        self._edges = np.union1d(self._starts[1:] - 1, self._starts + self._block - 1)
-        self._at_edges = np.empty((channels, self._edges.size))
-        self._fed = 0
-        # each sosfilt call has a fixed set-up cost, so small chunks are
-        # gathered into spans of 1/64 of the signal (at least one chunk)
-        self._span_frames = max(_CHUNK_FRAMES, n_frames // 64)
-        self._span = None  # made on first use, in the memory order of the chunks
-        self._held = 0
-
-    def feed(self, chunk: np.ndarray) -> None:
-        """Meter the next (channels, frames) chunk of the signal."""
-        if not self._edges.size:  # shorter than one block: nothing to measure
-            return
-        if not self._held and chunk.shape[1] >= self._span_frames:
-            self._filter(chunk)
-            return
-        if self._span is None:
-            self._span = np.empty_like(chunk, shape=(chunk.shape[0], self._span_frames))
-        while chunk.shape[1]:
-            take = min(chunk.shape[1], self._span_frames - self._held)
-            self._span[:, self._held : self._held + take] = chunk[:, :take]
-            self._held += take
-            chunk = chunk[:, take:]
-            if self._held == self._span_frames:
-                self._flush()
-
-    def _flush(self) -> None:
-        if self._held:
-            self._filter(self._span[:, : self._held])
-            self._held = 0
-
-    def _filter(self, chunk: np.ndarray) -> None:
-        first = self._fed
-        self._fed += chunk.shape[1]
-        # the filtered chunk becomes its running energy in place
-        energy, self._zi = sosfilt(self._sos, chunk, axis=1, zi=self._zi)
+    if sample_rate < 8000:
+        raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {sample_rate}")
+    channels, n_frames = samples.shape
+    block = int(round(_BLOCK_SECONDS * sample_rate))
+    hop = int(round(_HOP_SECONDS * sample_rate))
+    starts = np.arange(0, n_frames - block + 1, hop)
+    if not starts.size:
+        return None
+    # block s holds frames s .. s+block-1: its power is the energy through
+    # its last frame less the energy through frame s-1
+    edges = np.union1d(starts[1:] - 1, starts + block - 1)
+    at_edges = np.empty((channels, edges.size))
+    sos = _k_weighting_sos(sample_rate)
+    zi = np.zeros((sos.shape[0], channels, 2))
+    carried = np.zeros(channels)
+    span = max(_CHUNK_FRAMES, n_frames // 64)
+    for first in range(0, n_frames, span):
+        stop = min(first + span, n_frames)
+        # the filtered span becomes its running energy in place
+        energy, zi = sosfilt(sos, samples[:, first:stop], axis=1, zi=zi)
         np.multiply(energy, energy, out=energy)
-        energy[:, 0] += self._energy
+        energy[:, 0] += carried
         np.cumsum(energy, axis=1, out=energy)
-        self._energy = energy[:, -1].copy()
-        lo, hi = np.searchsorted(self._edges, (first, self._fed))
-        self._at_edges[:, lo:hi] = energy[:, self._edges[lo:hi] - first]
-
-    def block_powers(self) -> np.ndarray | None:
-        """The powers of every block, once every frame has been fed; None
-        when the signal is shorter than one block."""
-        if not self._starts.size:
-            return None
-        self._flush()
-        at = self._at_edges
-        end = at[:, np.searchsorted(self._edges, self._starts + self._block - 1)]
-        before = at[:, np.searchsorted(self._edges, self._starts - 1)]
-        before[:, 0] = 0.0  # the energy before frame 0
-        return (end - before).sum(axis=0) / self._block
-
-
-def _block_powers(buffer: AudioBuffer) -> np.ndarray | None:
-    """The meter's block powers, the whole buffer fed as one chunk."""
-    meter = _LoudnessMeter(buffer.channels, buffer.n_frames, buffer.sample_rate)
-    meter.feed(buffer.samples)
-    return meter.block_powers()
+        carried = energy[:, -1].copy()
+        lo, hi = np.searchsorted(edges, (first, stop))
+        at_edges[:, lo:hi] = energy[:, edges[lo:hi] - first]
+        del energy  # before the next span's is made
+    end = at_edges[:, np.searchsorted(edges, starts + block - 1)]
+    before = at_edges[:, np.searchsorted(edges, starts - 1)]
+    before[:, 0] = 0.0  # the energy before frame 0
+    return (end - before).sum(axis=0) / block
 
 
 def _gated_lufs(block_power: np.ndarray | None) -> float | None:
@@ -220,12 +180,12 @@ def _gated_lufs(block_power: np.ndarray | None) -> float | None:
 
 def integrated_loudness(buffer: AudioBuffer) -> LoudnessLufs:
     """Gated integrated loudness of a buffer in LUFS."""
-    return LoudnessLufs(_gated_lufs(_block_powers(buffer)))
+    return LoudnessLufs(_gated_lufs(_block_powers(buffer.samples, buffer.sample_rate)))
 
 
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
     """Scale a buffer by one scalar so its loudness matches the target."""
-    gain = _normalizing_gain(_block_powers(buffer), target_lufs)
+    gain = _normalizing_gain(_block_powers(buffer.samples, buffer.sample_rate), target_lufs)
     return buffer.with_samples(buffer.samples * gain)
 
 

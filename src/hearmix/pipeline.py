@@ -20,6 +20,7 @@ from .audio import (
     AudioBuffer,
     _chunk_scratch,
     _chunks,
+    _finite_number,
     _read_json,
     db_to_linear,
     ensure_aligned,
@@ -31,9 +32,9 @@ from .levels import (
     CLIP_TRIGGER_COUNT,
     CompressorParams,
     UndefinedLoudnessError,
+    _block_powers,
     _compressor_gain,
     _gated_lufs,
-    _LoudnessMeter,
     _normalizing_gain,
     count_clipped,
     integrated_loudness,
@@ -92,8 +93,14 @@ class GainSpec:
         }
 
 
+_UNIT_GAINS = GainSpec(0.0, 0.0, 0.0, 0.0)
+
+
 def load_gains(path) -> GainSpec:
-    """Load a gains JSON file: {"vocals": dB|"mute", "drums": ..., ...}."""
+    """Load a gains JSON file: {"vocals": dB|"mute", "drums": ..., ...}.
+
+    Each gain is a finite number of dB; only "mute" mutes a track.
+    """
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: gains file must hold a JSON object")
@@ -105,10 +112,8 @@ def load_gains(path) -> GainSpec:
         raw = doc[name]
         if raw == "mute":
             values[name] = MUTE
-        elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            values[name] = float(raw)
         else:
-            raise ValueError(f"{path}: gain for {name} must be a number or \"mute\"")
+            values[name] = _finite_number(raw, f"{path}: gain for {name}")
     return GainSpec(**values)
 
 
@@ -140,31 +145,17 @@ def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     return stems.vocals.with_samples(_remix(stems, gains))
 
 
-def _remix(
-    stems: StemSet,
-    gains: GainSpec,
-    meter: _LoudnessMeter | None = None,
-    unit_meter: _LoudnessMeter | None = None,
-) -> np.ndarray:
-    """``remix`` in chunks of frames, feeding each finished chunk of the
-    output to ``meter`` and the tracks' plain sum (the remix at 0 dB, the
-    same bits since x * 1.0 is x) to ``unit_meter``."""
+def _remix(stems: StemSet, gains: GainSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """``remix`` in chunks of frames, written over ``out`` when it is given."""
     scales = _linear_gains(gains)
-    out = np.empty_like(stems.vocals.samples)
+    if out is None:
+        out = np.empty_like(stems.vocals.samples)
     term = _chunk_scratch(out)
-    unit = _chunk_scratch(out) if unit_meter is not None else None
     for frames in _chunks(stems.n_frames):
-        width = frames.stop - frames.start
-        product = term[:, :width]
+        product = term[:, : frames.stop - frames.start]
         for name in TRACK_NAMES:
             x = stems.track(name).samples[:, frames]
             _scale_add(out[:, frames], x, scales[name], name == TRACK_NAMES[0], product)
-            if unit is not None:
-                _scale_add(unit[:, :width], x, 1.0, name == TRACK_NAMES[0], product)
-        if unit_meter is not None:
-            unit_meter.feed(unit[:, :width])
-        if meter is not None:
-            meter.feed(out[:, frames])
     return out
 
 
@@ -198,7 +189,6 @@ def _front_end(
     stem_sets: Sequence[StemSet],
     gains: GainSpec,
     options: EnhanceOptions,
-    meter: _LoudnessMeter | None = None,
 ) -> AudioBuffer:
     """Ensemble, residual repair and remix in one pass over the song.
 
@@ -208,9 +198,7 @@ def _front_end(
     its gain and added to the output. Every operation on a sample runs in
     the order of ``ensemble_average`` → ``compute_residual`` →
     ``blend_other`` → ``remix``, so the result is the same bits as
-    composing them. Each finished chunk of the output goes to ``meter``
-    while it is still in cache. Beside the output, only chunk-sized arrays
-    are alive.
+    composing them. Beside the output, only chunk-sized arrays are alive.
     """
     w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
     scales = _linear_gains(gains)
@@ -228,8 +216,6 @@ def _front_end(
                 r -= mean
         # the mean is scratch space, so the scaled track is written into it
         _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
-        if meter is not None and name == TRACK_NAMES[-1]:
-            meter.feed(out[:, frames])
     return mix.with_samples(out)
 
 
@@ -259,22 +245,13 @@ def _mix_lufs(mix: AudioBuffer) -> float | None:
     return integrated_loudness(mix).value
 
 
-def _meter_for(signal: AudioBuffer) -> _LoudnessMeter:
-    return _LoudnessMeter(signal.channels, signal.n_frames, signal.sample_rate)
-
-
 def _normalize_and_amplify(
-    samples: np.ndarray,
-    sample_rate: int,
-    meter: _LoudnessMeter,
-    target_lufs: float,
-    listener: Listener,
-    n_taps: int,
+    samples: np.ndarray, sample_rate: int, target_lufs: float, listener: Listener, n_taps: int
 ) -> None:
     """Loudness normalization and NAL-R, written over ``samples``: the gain
-    comes from the meter that ``samples`` was fed to, and scales each block
-    of input as NAL-R reads it."""
-    gain = _normalizing_gain(meter.block_powers(), target_lufs)
+    comes from one measurement of ``samples`` and scales each block of
+    input as NAL-R reads it."""
+    gain = _normalizing_gain(_block_powers(samples, sample_rate), target_lufs)
     _nalr_in_place(samples, sample_rate, listener, n_taps, gain)
 
 
@@ -303,13 +280,10 @@ def enhance(
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(_mix_lufs(mix))
 
-    # one song-sized signal: the front end writes it while metering it, and
-    # every later stage rewrites it in place
-    meter = _meter_for(mix)
-    signal = _front_end(mix, stem_sets, gains, options, meter)
-    _normalize_and_amplify(
-        signal.samples, signal.sample_rate, meter, target, listener, options.n_taps
-    )
+    # one song-sized signal: the front end writes it, and every later stage
+    # measures or rewrites it in place
+    signal = _front_end(mix, stem_sets, gains, options)
+    _normalize_and_amplify(signal.samples, signal.sample_rate, target, listener, options.n_taps)
     report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
     report.stages += ["remix", "normalize", "nalr"]
 
@@ -334,16 +308,17 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
 
     Remix at the requested gains, normalize to the true mixture's loudness,
     and apply NAL-R with ``DEFAULT_NALR_TAPS`` taps. The reference chain
-    never compresses. One remix pass meters both the remix and the true
-    mixture, the tracks' plain sum.
+    never compresses. The true mixture, the tracks' plain sum (the remix at
+    0 dB, the same bits since x * 1.0 is x), is written into the output and
+    measured, then the remix overwrites it, so one song-sized array serves
+    both.
     """
     _require_stereo(true_stems.vocals, "build_reference")
-    meter, unit_meter = _meter_for(true_stems.vocals), _meter_for(true_stems.vocals)
-    samples = _remix(true_stems, gains, meter, unit_meter)
-    target = _loudness_target(_gated_lufs(unit_meter.block_powers()))
-    _normalize_and_amplify(
-        samples, true_stems.sample_rate, meter, target, listener, DEFAULT_NALR_TAPS
-    )
+    rate = true_stems.sample_rate
+    samples = _remix(true_stems, _UNIT_GAINS)
+    target = _loudness_target(_gated_lufs(_block_powers(samples, rate)))
+    _remix(true_stems, gains, samples)
+    _normalize_and_amplify(samples, rate, target, listener, DEFAULT_NALR_TAPS)
     return true_stems.vocals.with_samples(samples)
 
 

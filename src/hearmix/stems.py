@@ -9,15 +9,22 @@ noise for controlled experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .audio import _CHUNK_FRAMES, AudioBuffer, _chunk_scratch, _chunks, ensure_aligned, read_wav
+from .audio import (
+    _CHUNK_FRAMES,
+    AudioBuffer,
+    _chunk_scratch,
+    _chunks,
+    _finite_number,
+    ensure_aligned,
+    read_wav,
+)
 
 TRACK_NAMES = ("vocals", "drums", "bass", "other")
 
@@ -99,9 +106,9 @@ class NoisyOracleStemProvider:
                     f"snr_db map must name exactly the tracks {list(TRACK_NAMES)}, "
                     f"got {sorted(map(str, snr_db))}"
                 )
-            self._snr = {name: _finite_snr(snr_db[name], f"snr_db.{name}") for name in TRACK_NAMES}
+            self._snr = {name: _finite_number(snr_db[name], f"snr_db.{name}") for name in TRACK_NAMES}
         else:
-            self._snr = dict.fromkeys(TRACK_NAMES, _finite_snr(snr_db, "snr_db"))
+            self._snr = dict.fromkeys(TRACK_NAMES, _finite_number(snr_db, "snr_db"))
         if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self._seed = int(seed)
@@ -119,15 +126,6 @@ class NoisyOracleStemProvider:
             noise = rng.normal(0.0, np.sqrt(noise_power), clean.samples.shape)
             noisy[name] = clean.with_samples(clean.samples + noise)
         return StemSet(**noisy)
-
-
-def _finite_snr(value, field: str) -> float:
-    try:
-        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise ValueError(f"{field} must be a finite number of dB, got {value!r}")
 
 
 def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleStemProvider:

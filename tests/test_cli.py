@@ -411,6 +411,19 @@ class TestBatchCommand:
         assert rc == EXIT_USAGE
         assert "fatal" in capsys.readouterr().err
 
+    def test_deeply_nested_manifest_is_fatal(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[" * 200_000)
+        rc = main(
+            [
+                "batch",
+                "--manifest", str(tmp_path / "manifest.json"),
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "manifest.json: JSON nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestParser:
     def test_unknown_command_exits(self):

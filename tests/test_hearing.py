@@ -105,13 +105,37 @@ class TestListenerFile:
             b'"left_db_hl": [1, 2, 3, 4], "right_db_hl": [1, 2, 3, 4]}',
             b'{"id": "L", "frequencies": [500, 1000, 2000], '
             b'"left_db_hl": [1, 2, 3], "right_db_hl": [1, Infinity, 3]}',
+            b'{"id": "L", "frequencies": ' + b"[" * 200_000,
         ],
-        ids=["bad_json", "not_utf8", "nan_frequency", "infinity_level"],
+        ids=["bad_json", "not_utf8", "nan_frequency", "infinity_level", "deep_nesting"],
     )
     def test_undecodable_file_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_listener.json"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="broken_listener.json"):
+            load_listener(path)
+
+    @pytest.mark.parametrize(
+        "field, number",
+        [
+            ("left_db_hl", "1" + "0" * 400),
+            ("right_db_hl", "1e999"),
+            ("right_db_hl", "-1e999"),
+            ("frequencies", "-" + "9" * 400),
+        ],
+        ids=["left_400_digits", "right_1e999", "right_minus_1e999", "frequency_400_digits"],
+    )
+    def test_number_out_of_range_names_file_and_field(self, tmp_path, field, number):
+        doc = {
+            "id": "L",
+            "frequencies": [250, 500, 1000, 2000],
+            "left_db_hl": [1, 2, 3, 4],
+            "right_db_hl": [1, 2, 3, 4],
+        }
+        text = json.dumps({**doc, field: ["NUMBER", 500, 1000, 2000]})
+        path = tmp_path / "range_listener.json"
+        path.write_text(text.replace('"NUMBER"', number))
+        with pytest.raises(ValueError, match=rf"range_listener\.json: .*{field} must be a finite number"):
             load_listener(path)
 
 

@@ -111,13 +111,28 @@ class TestGainSpec:
             b'{"vocals": NaN, "drums": 0, "bass": 0, "other": 0}',
             b'{"vocals": 0, "drums": Infinity, "bass": 0, "other": 0}',
             b'{"vocals": 0, "drums": 0, "bass": -Infinity, "other": 0}',
+            b"[" * 200_000,
+            b'{"vocals": ' * 200_000,
         ],
-        ids=["bad_json", "not_utf8", "nan", "infinity", "minus_infinity"],
+        ids=["bad_json", "not_utf8", "nan", "infinity", "minus_infinity", "deep_arrays",
+             "deep_objects"],
     )
     def test_load_gains_undecodable_file_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_gains.json"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="broken_gains.json"):
+            load_gains(path)
+
+    @pytest.mark.parametrize(
+        "number",
+        ["-1e999", "1e999", "1" + "0" * 400, "-" + "9" * 400],
+        ids=["minus_1e999", "1e999", "400_digits", "minus_400_digits"],
+    )
+    def test_load_gains_number_out_of_range_names_file_and_field(self, tmp_path, number):
+        # only "mute" mutes: -1e999 parses to -inf, and must not
+        path = tmp_path / "range_gains.json"
+        path.write_text(f'{{"vocals": 0, "drums": {number}, "bass": 0, "other": 0}}')
+        with pytest.raises(ValueError, match=r"range_gains\.json: gain for drums must be a finite number"):
             load_gains(path)
 
 
@@ -232,7 +247,7 @@ def _composed_chain(mix, sets, gains, listener, options):
 
 
 class TestChainInPlace:
-    """The metered, in-place chain against the composition of the public stages."""
+    """The in-place chain against the composition of the public stages."""
 
     # at least one 400 ms loudness block, ending on and either side of a chunk
     LENGTHS = (17640, 3 * _CHUNK_FRAMES, 3 * _CHUNK_FRAMES + 1, 5 * _CHUNK_FRAMES + 17)
@@ -453,14 +468,14 @@ class TestPeakMemory:
         )
         assert report.compressor_applied
         # the signal, the detector's level and envelope (half a stereo
-        # buffer each) and chunk-sized scratch: 2.20 on 3 s
+        # buffer each) and chunk-sized scratch: 2.14 on 3 s
         assert peak <= 2.45
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_enhance_without_the_compressor_holds_one_signal(self, rng, k):
-        # the front end's output is metered as it is written, then scaled,
-        # filtered and counted in place: 1.32 on 3 s, where the chunk-sized
-        # scratch weighs more than on a song
+        # the front end writes its output, which is then metered span by
+        # span, scaled, filtered and counted in place: 1.25 on 3 s, where
+        # the chunk-sized scratch weighs more than on a song
         truth = synth_stems(rng, seconds=3.0)
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 20.0, seed=s).stems() for s in range(k)]
@@ -483,8 +498,9 @@ class TestPeakMemory:
         _, peak = peak_buffers(
             truth.vocals, build_reference, truth, UNIT_GAINS, flat_listener(60.0)
         )
-        # one remix pass feeds both meters, and NAL-R runs in place: 1.39 on
-        # 3 s, where each meter's span of one chunk weighs more than on a song
+        # the true mixture and then the remix are written into one array,
+        # each metered span by span, and NAL-R runs in place: 1.27 on 3 s,
+        # where a span of one chunk weighs more than on a song
         assert peak <= 1.5
 
     def test_compress_holds_few_buffers(self, rng):
@@ -674,8 +690,9 @@ class TestBatch:
             b'{"jobs": [{"song_id": "a", "mix": "a.wav", "gains": "g.json", '
             b'"listener": "l.json", "out": "out/a.wav", '
             b'"stems": [{"kind": "noisy_oracle", "path": "a", "snr_db": NaN, "seed": 1}]}]}',
+            b'{"jobs": ' + b"[" * 200_000,
         ],
-        ids=["bad_json", "not_utf8", "nan_snr"],
+        ids=["bad_json", "not_utf8", "nan_snr", "deep_nesting"],
     )
     def test_undecodable_manifest_names_the_file(self, tmp_path, raw):
         path = tmp_path / "broken_manifest.json"
