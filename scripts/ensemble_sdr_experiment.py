@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from hearmix import (
+    TRACK_NAMES,
     AudioBuffer,
     NoisyOracleStemProvider,
     StemSet,
@@ -21,7 +22,6 @@ from hearmix import (
     sdr,
 )
 
-TRACKS = ("vocals", "drums", "bass", "other")
 TONES = {"vocals": 392.0, "drums": 140.0, "bass": 65.0, "other": 988.0}
 
 
@@ -29,7 +29,7 @@ def synth_stems(rng, seconds, rate):
     n = int(seconds * rate)
     t = np.arange(n) / rate
     stems = {}
-    for name in TRACKS:
+    for name in TRACK_NAMES:
         track = np.stack(
             [
                 0.2
@@ -54,7 +54,7 @@ def main():
     args = parser.parse_args()
 
     rate = 44100
-    gains = {k: {name: [] for name in TRACKS} for k in range(1, args.max_k + 1)}
+    gains = {k: {name: [] for name in TRACK_NAMES} for k in range(1, args.max_k + 1)}
     for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + trial)
         truth = synth_stems(rng, args.seconds, rate)
@@ -66,20 +66,20 @@ def main():
         ]
         base = {
             name: np.mean([sdr(truth.track(name), m.track(name)).value for m in members])
-            for name in TRACKS
+            for name in TRACK_NAMES
         }
         for k in range(1, args.max_k + 1):
             averaged = ensemble_average(members[:k])
-            for name in TRACKS:
+            for name in TRACK_NAMES:
                 combined = sdr(truth.track(name), averaged.track(name)).value
                 gains[k][name].append(combined - base[name])
 
-    header = f"{'K':>3} {'predicted':>10} " + " ".join(f"{name:>8}" for name in TRACKS)
+    header = f"{'K':>3} {'predicted':>10} " + " ".join(f"{name:>8}" for name in TRACK_NAMES)
     print(header)
     print("-" * len(header))
     for k in range(1, args.max_k + 1):
         predicted = 10 * np.log10(k)
-        row = " ".join(f"{np.mean(gains[k][name]):8.2f}" for name in TRACKS)
+        row = " ".join(f"{np.mean(gains[k][name]):8.2f}" for name in TRACK_NAMES)
         print(f"{k:>3} {predicted:>10.2f} {row}")
 
 

@@ -96,10 +96,12 @@ def main():
     # the "received" signal a listener's system would see: mild crosstalk
     kernel = mild_crosstalk_kernel(args.rate)
     received = apply_crosstalk(mix, kernel)
+    crosstalked_stems = StemSet(
+        **{name: apply_crosstalk(buffer, kernel) for name, buffer in stems.as_dict().items()}
+    )
 
-    for name in ("vocals", "drums", "bass", "other"):
-        crosstalked = apply_crosstalk(stems.track(name), kernel)
-        write_wav(crosstalked, out / "stems" / f"{name}.wav")
+    for name, buffer in crosstalked_stems.as_dict().items():
+        write_wav(buffer, out / "stems" / f"{name}.wav")
     write_wav(received, out / "mix.wav")
 
     (out / "gains.json").write_text(
@@ -119,12 +121,6 @@ def main():
 
     listener = load_listener(out / "listener.json")
     gains = GainSpec(3.0, 0.0, -3.0, 0.0)
-    crosstalked_stems = StemSet(
-        **{
-            name: apply_crosstalk(stems.track(name), kernel)
-            for name in ("vocals", "drums", "bass", "other")
-        }
-    )
     enhanced, report = enhance(received, [crosstalked_stems], gains, listener, song_id="demo")
     write_wav(enhanced, out / "enhanced.wav")
 

@@ -1,8 +1,8 @@
 """Audio buffer representation, WAV file I/O, the dB-to-linear gain, and
 the strict JSON reader shared by the gains, listener and manifest loaders.
 
-Buffers hold float64 samples in a (channels, frames) array and are treated
-as immutable: every operation returns a new buffer. There is no resampling
+Buffers hold float64 samples in a (channels, frames) array that is
+read-only: every operation returns a new buffer. There is no resampling
 anywhere in this package; operations that combine signals require identical
 sample rates and raise :class:`AlignmentError` otherwise.
 """
@@ -82,7 +82,8 @@ class AudioBuffer:
 
     Samples are nominally in [-1, 1] but values beyond full scale are kept;
     clipping only happens when writing integer WAV formats or inside the
-    compressor's safety clip.
+    compressor's safety clip. ``samples`` is a read-only view, so buffers
+    can be shared between threads; the array passed in keeps its own flag.
     """
 
     samples: np.ndarray
@@ -100,6 +101,8 @@ class AudioBuffer:
             raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         if not _all_finite(samples):
             raise ValueError("samples contain NaN or Inf")
+        samples = samples.view()
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 

@@ -117,7 +117,7 @@ def _block_powers(samples: np.ndarray, sample_rate: int) -> np.ndarray | None:
     """K-weighted power of each 400 ms block of (channels, frames) samples,
     summed over channels; None when the signal is shorter than one block.
 
-    The signal is filtered and squared in spans of 1/64 of its length (at
+    The signal is filtered and squared in spans of 1/16 of its length (at
     least one chunk, since each ``sosfilt`` call has a fixed set-up cost).
     The filter's state and the running energy (the sum of the squares of
     every frame so far) carry from span to span, and the energy at each
@@ -143,7 +143,7 @@ def _block_powers(samples: np.ndarray, sample_rate: int) -> np.ndarray | None:
     sos = _k_weighting_sos(sample_rate)
     zi = np.zeros((sos.shape[0], channels, 2))
     carried = np.zeros(channels)
-    span = max(_CHUNK_FRAMES, n_frames // 64)
+    span = max(_CHUNK_FRAMES, n_frames // 16)
     for first in range(0, n_frames, span):
         stop = min(first + span, n_frames)
         # the filtered span becomes its running energy in place

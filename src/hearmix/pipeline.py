@@ -46,9 +46,9 @@ from .stems import (
     StemSet,
     _averaged_chunks,
     _ensemble_weights,
-    _load_stems,
     _spec_files,
     blend_other,
+    provider_from_spec,
 )
 
 # canonical stage order; configurations may skip stages but never reorder them
@@ -189,8 +189,9 @@ def _front_end(
     stem_sets: Sequence[StemSet],
     gains: GainSpec,
     options: EnhanceOptions,
-) -> AudioBuffer:
-    """Ensemble, residual repair and remix in one pass over the song.
+) -> np.ndarray:
+    """Ensemble, residual repair and remix in one pass over the song, into
+    a new array that the caller owns.
 
     The song is walked in chunks of frames. In each chunk every track is
     averaged across the separators, then subtracted from the residual of
@@ -216,17 +217,15 @@ def _front_end(
                 r -= mean
         # the mean is scratch space, so the scaled track is written into it
         _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
-    return mix.with_samples(out)
+    return out
 
 
 class _SharedMix(AudioBuffer):
-    """A mixture that the batch jobs naming it share, with read-only
-    samples. The first job to need its integrated loudness measures it for
-    all of them."""
+    """A mixture that the batch jobs naming it share. The first job to need
+    its integrated loudness measures it for all of them."""
 
     def __init__(self, mix: AudioBuffer):
         super().__init__(mix.samples, mix.sample_rate)
-        self.samples.flags.writeable = False
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_lufs", [])  # empty until measured
 
@@ -280,10 +279,11 @@ def enhance(
     report = EnhanceReport(song_id=song_id, options=options.as_dict())
     target = report.input_loudness_lufs = _loudness_target(_mix_lufs(mix))
 
-    # one song-sized signal: the front end writes it, and every later stage
-    # measures or rewrites it in place
-    signal = _front_end(mix, stem_sets, gains, options)
-    _normalize_and_amplify(signal.samples, signal.sample_rate, target, listener, options.n_taps)
+    # one song-sized array: the front end allocates it, and every later
+    # stage measures or rewrites it in place
+    samples = _front_end(mix, stem_sets, gains, options)
+    _normalize_and_amplify(samples, mix.sample_rate, target, listener, options.n_taps)
+    signal = mix.with_samples(samples)  # read-only: the compressor writes `samples`
     report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
     report.stages += ["remix", "normalize", "nalr"]
 
@@ -294,8 +294,7 @@ def enhance(
 
     if options.use_compressor_heuristic and should_compress(clip_report):
         # compress(signal), applying the gain and the clip in place
-        samples = signal.samples
-        samples *= _compressor_gain(samples, signal.sample_rate, options.compressor)
+        samples *= _compressor_gain(samples, mix.sample_rate, options.compressor)
         np.clip(samples, -1.0, 1.0, out=samples)
         report.compressor_applied = True
         report.stages.append("compress")
@@ -408,9 +407,9 @@ def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
 
 
 def _load_song(job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]]:
-    """A job's mixture and stem sets, read-only so that jobs can share them."""
+    """A job's mixture and stem sets, which jobs can share since buffers are read-only."""
     mix = _SharedMix(read_wav(job.mix_path))
-    return mix, [_load_stems(spec, base_dir) for spec in job.stem_specs]
+    return mix, [provider_from_spec(spec, base_dir).stems() for spec in job.stem_specs]
 
 
 def _finish_job(

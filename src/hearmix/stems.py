@@ -150,15 +150,6 @@ def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleSte
     return NoisyOracleStemProvider(truth, spec["snr_db"], spec["seed"])
 
 
-def _load_stems(spec, base_dir) -> StemSet:
-    """The stem set a manifest spec names, with read-only samples so that
-    the jobs which name the same spec can share it."""
-    stems = provider_from_spec(spec, base_dir).stems()
-    for buffer in stems.buffers():
-        buffer.samples.flags.writeable = False
-    return stems
-
-
 def _spec_files(spec, base_dir: Path) -> dict[str, Path]:
     """The stem files a manifest spec reads, by track; none when the spec
     names no folder (``provider_from_spec`` rejects it when the job runs)."""

@@ -28,7 +28,7 @@ from hearmix import (
     read_wav,
     write_wav,
 )
-from util import CHUNK_EDGES, convolution_lengths, make_buffer, quantize
+from util import CHUNK_EDGES, assert_read_only, convolution_lengths, make_buffer, quantize
 
 
 def _fmt(buffer, depth):
@@ -87,6 +87,16 @@ class TestAudioBuffer:
         buf = AudioBuffer(np.zeros(10), 44100)
         assert buf.samples.shape == (1, 10)
         assert buf.channels == 1
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read_only"])
+    @pytest.mark.parametrize("shape", [(10,), (2, 10)], ids=["mono", "stereo"])
+    def test_samples_are_a_read_only_view_of_the_input(self, shape, writeable):
+        samples = np.zeros(shape)
+        samples.flags.writeable = writeable
+        buf = AudioBuffer(samples, 44100)
+        assert_read_only(buf)
+        assert np.shares_memory(buf.samples, samples)
+        assert samples.flags.writeable == writeable
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -378,6 +388,7 @@ class TestWavFormats:
         plain.write_bytes(_wav_bytes(samples, tag, bits))
         extensible.write_bytes(_wav_bytes(samples, tag, bits, extensible=True))
         out = read_wav(extensible)
+        assert_read_only(out)
         np.testing.assert_array_equal(out.samples, read_wav(plain).samples)
         # scipy.io.wavfile as the independent reader of the extensible layout
         _, data = wavfile.read(extensible)

@@ -20,7 +20,7 @@ from hearmix import (
 )
 from hearmix import levels
 from hearmix.audio import _CHUNK_FRAMES
-from util import CHUNK_EDGES, make_buffer, sine_buffer
+from util import CHUNK_EDGES, assert_read_only, make_buffer, sine_buffer
 
 # the scan and running max may differ from the loops by float rounding only
 ORACLE_TOL_DB = 1e-9
@@ -141,14 +141,15 @@ def concatenated_block_powers(buffer):
 
 # (rate, length) cases of the block powers. At 11025 Hz a block (4410
 # frames) is not four hops (4 x 1102). At 8 kHz a block is 3200 frames, so
-# every length from one chunk up holds blocks; from 64 chunks up the
-# signal is walked in spans of n // 64 frames, which past 64 chunks are
+# every length from one chunk up holds blocks; from 16 chunks up the
+# signal is walked in spans of n // 16 frames, which past 16 chunks are
 # not whole chunks.
+LONG_LENGTHS = tuple(k * _CHUNK_FRAMES + extra for k in (16, 64) for extra in (0, 4321))
 BLOCK_POWER_CASES = [
     (rate, length)
     for rate in (44100, 11025)
     for length in ("block-1", "block", "block+1", "block+hop", "silent_first_block")
-] + [(8000, n) for n in CHUNK_EDGES + (64 * _CHUNK_FRAMES, 64 * _CHUNK_FRAMES + 4321)]
+] + [(8000, n) for n in CHUNK_EDGES + LONG_LENGTHS]
 
 
 class TestBlockPowers:
@@ -192,7 +193,7 @@ class TestBlockPowers:
             tracemalloc.stop()
         # beside the input only one span is filtered, squared and summed in
         # place at a time, plus block-sized arrays: 0.07 on 3 s, where a
-        # span of one chunk weighs more than 1/64 of a song
+        # span is 1/16 of the song
         assert peak / buffer.samples.nbytes <= 0.1
 
 
@@ -478,7 +479,9 @@ class TestCompressorOracles:
         samples = make(rng)
         gain_db = compressor_loop(samples, 44100, params)
         expected = np.clip(samples * 10.0 ** (gain_db / 20.0), -1.0, 1.0)
-        out = compress(make_buffer(samples), params).samples
+        compressed = compress(make_buffer(samples), params)
+        assert_read_only(compressed)
+        out = compressed.samples
         # ORACLE_TOL_DB of gain is a relative amplitude error of 1.2e-10;
         # the clip can only shrink a difference
         assert np.all(np.abs(out - expected) <= 1.2e-10 * np.abs(samples))

@@ -50,6 +50,7 @@ from hearmix.stems import TRACK_NAMES
 from util import (
     CHUNK_EDGES,
     ZERO_LISTENER,
+    assert_read_only,
     exact_mix,
     flat_listener,
     make_buffer,
@@ -177,7 +178,9 @@ class TestRemixChunks:
     @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
     def test_matches_the_whole_song_formula(self, rng, n_frames, gains, order):
         _, (stems,) = random_stem_sets(rng, n_frames, 1, order)
-        out = remix(stems, gains).samples
+        mixed = remix(stems, gains)
+        assert_read_only(mixed)
+        out = mixed.samples
         expected = whole_song_remix(stems, gains)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
@@ -210,7 +213,7 @@ class TestFrontEnd:
         sets = [NoisyOracleStemProvider(truth, 10.0, seed=s).stems() for s in range(k)]
         options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
         expected = _composed_front_end(mix, sets, gains, weights, use_residual)
-        out = pipeline._front_end(mix, sets, gains, options).samples
+        out = pipeline._front_end(mix, sets, gains, options)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
@@ -223,7 +226,7 @@ class TestFrontEnd:
         mix, sets = random_stem_sets(rng, n_frames, k, order)
         options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
         expected = _composed_front_end(mix, sets, gains, weights, use_residual)
-        out = pipeline._front_end(mix, sets, gains, options).samples
+        out = pipeline._front_end(mix, sets, gains, options)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
@@ -237,7 +240,7 @@ class TestFrontEnd:
 
 def _composed_chain(mix, sets, gains, listener, options):
     """The public stages one after another: what ``enhance`` must equal."""
-    signal = pipeline._front_end(mix, sets, gains, options)
+    signal = mix.with_samples(pipeline._front_end(mix, sets, gains, options))
     signal = normalize_to_loudness(signal, integrated_loudness(mix).value)
     signal = nalr_process(signal, listener, options.n_taps)
     report = count_clipped(signal)
@@ -265,6 +268,7 @@ class TestChainInPlace:
         gains = GainSpec(3.0, -2.0, MUTE, 1.5)
         expected, clipped = _composed_chain(mix, sets, gains, listener, options)
         out, report = enhance(mix, sets, gains, listener, options)
+        assert_read_only(out)
         assert report.clipped_samples == clipped
         assert report.compressor_applied == should_compress(ClipReport(clipped))
         assert np.array_equal(out.samples, expected)
@@ -278,6 +282,7 @@ class TestChainInPlace:
         expected, _ = _composed_chain(mix, sets, UNIT_GAINS, listener, options)
         out, report = enhance(mix, sets, UNIT_GAINS, listener, options)
         assert report.compressor_applied
+        assert_read_only(out)
         assert np.array_equal(out.samples, expected)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -290,7 +295,9 @@ class TestChainInPlace:
         listener = flat_listener(45.0)
         target = integrated_loudness(remix(truth, UNIT_GAINS)).value
         expected = nalr_process(normalize_to_loudness(remix(truth, gains), target), listener)
-        out = build_reference(truth, gains, listener).samples
+        reference = build_reference(truth, gains, listener)
+        assert_read_only(reference)
+        out = reference.samples
         assert np.array_equal(out, expected.samples)
 
 

@@ -24,6 +24,7 @@ from hearmix import stems as stems_module
 from hearmix.stems import _CHUNK_FRAMES, TRACK_NAMES
 from util import (
     CHUNK_EDGES,
+    assert_read_only,
     exact_mix,
     make_buffer,
     peak_buffers,
@@ -215,6 +216,7 @@ class TestEnsembleChunks:
         _, sets = random_stem_sets(rng, n_frames, k, order)
         out = ensemble_average(sets, weights)
         for name, expected in whole_song_average(sets, weights).items():
+            assert_read_only(out.track(name))
             got = out.track(name).samples
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -425,6 +427,7 @@ class TestProviders:
         write_stems_dir(stems, tmp_path / "stems")
         loaded = DirectoryStemProvider(tmp_path / "stems").stems()
         for name in ("vocals", "drums", "bass", "other"):
+            assert_read_only(loaded.track(name))
             np.testing.assert_array_equal(
                 loaded.track(name).samples, stems.track(name).samples
             )

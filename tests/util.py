@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hearmix import audio
 from hearmix.stems import _CHUNK_FRAMES
@@ -99,6 +100,12 @@ def random_stem_sets(
 
     sets = [StemSet(track(), track(), track(), track()) for _ in range(k)]
     return track(), sets
+
+
+def assert_read_only(buffer: AudioBuffer) -> None:
+    """Writing into a buffer's samples raises."""
+    with pytest.raises(ValueError, match="read-only"):
+        buffer.samples[:, :1] = 0.0
 
 
 def identity_kernel(sample_rate: int, length: int = 1) -> CrosstalkKernel:
