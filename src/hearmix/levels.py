@@ -14,20 +14,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import sosfilt
+from scipy.signal import lfilter, sosfilt
 
 from .audio import _CHUNK_FRAMES, AudioBuffer, _chunks
 
 CLIP_TRIGGER_COUNT = 25_000
 
-_SCAN_BLOCK = 1024  # samples per block of the gain smoother's scan
-# largest log-decay (nepers) one scan block may span: exp(-600) and its
+# frames per block of the gain smoother's solve
+_SOLVE_BLOCK = 4096
+# largest log-decay (nepers) one solve block may span: exp(-600) and its
 # inverse are both finite in float64
 _MAX_BLOCK_DECAY = 600.0
+# solves of one block before the smoother keeps only its confirmed prefix
+_MAX_SOLVES = 8
 # most dB by which the detector may exceed the threshold. Float64 sample
 # levels span about 6,400 dB, so only a threshold below about -1e6 dB is
 # ever capped, and the gain 10**(-1e6/20) is already 0. The cap keeps the
-# scan's terms, divided by a decay of down to exp(-600), finite.
+# solve's terms, divided by a decay of down to exp(-600), finite.
 _MAX_OVER_DB = 1e6
 
 _BLOCK_SECONDS = 0.4
@@ -230,35 +233,54 @@ def should_compress(report: ClipReport) -> bool:
     return max(report.per_channel) >= CLIP_TRIGGER_COUNT
 
 
-def _peak_envelope_db(level_db: np.ndarray, release_log: float) -> np.ndarray:
-    """Peak detector ``y = max(x, alpha*y)`` in dB.
+def _peak_envelope_db(samples: np.ndarray, release_log: float) -> np.ndarray:
+    """Peak detector ``y = max(x, alpha*y)`` in dB over the frame levels
+    of (channels, frames) samples, in one new frame-sized array.
 
-    ``release_log`` is ``log(alpha)``. In dB the detector is a running max
-    of the level, each earlier frame decayed by ``r = -20*log10(alpha)`` dB
-    per sample of age:
-    ``env[i] = max_{j<=i}(level[j] - (i - j)*r) = cummax(level + j*r)[i] - i*r``.
-    Holding through waveform troughs keeps the gain computer on the crest
-    level, so a sustained tone settles onto the static curve instead of
-    pumping within each cycle.
+    The level ``x`` is the peak across channels in dB, floored at -240 dB.
+    ``release_log`` is ``log(alpha)``. In dB the detector is
+    ``y[i] = max(x[i], y[i-1] - r)``, each earlier frame decayed by
+    ``r = -20*log10(alpha)`` dB per sample of age. Within a chunk starting
+    at frame s that is a running max,
+    ``y[s+k] = cummax(x' + j*r)[k] - k*r`` with ``x'`` the chunk's levels
+    and its first raised to ``y[s-1] - r``. The ramp restarts with every
+    chunk, so its rounding does not grow with the song. Holding through
+    waveform troughs keeps the gain computer on the crest level, so a
+    sustained tone settles onto the static curve instead of pumping within
+    each cycle.
     """
+    n_frames = samples.shape[1]
+    envelope = np.empty(n_frames)
+    for frames in _chunks(n_frames):
+        peak = envelope[frames]
+        np.abs(samples[0, frames], out=peak)
+        for channel in samples[1:]:
+            np.maximum(peak, np.abs(channel[frames]), out=peak)
+    np.maximum(envelope, 1e-12, out=envelope)
+    np.log10(envelope, out=envelope)
+    envelope *= 20.0
     decay_db = -20.0 * math.log10(math.e) * release_log
-    if level_db.size:
+    if n_frames:
         # once one sample's decay spans the level's whole range no earlier
         # frame can win the max, so the cap changes nothing but keeps the
         # ramp, and its rounding, small for very short releases
-        decay_db = min(decay_db, float(np.ptp(level_db)))
-    # the ramp j*r is made a chunk at a time: np.arange(a, b) * r is the
-    # same float per element as the whole ramp, without a frame-sized one
-    envelope = np.empty_like(level_db)
-    for frames in _chunks(level_db.size):
-        ramp = np.arange(frames.start, frames.stop) * decay_db
-        np.add(level_db[frames], ramp, out=envelope[frames])
-    np.maximum.accumulate(envelope, out=envelope)
-    for frames in _chunks(level_db.size):
+        decay_db = min(decay_db, float(np.ptp(envelope)))
+    # the envelope is written over the level a chunk at a time, keeping
+    # that chunk's level for the j == i term
+    ramp = np.arange(min(_CHUNK_FRAMES, n_frames)) * decay_db
+    level = np.empty_like(ramp)
+    held = -np.inf
+    for frames in _chunks(n_frames):
         chunk = envelope[frames]
-        chunk -= np.arange(frames.start, frames.stop) * decay_db
+        width = chunk.size
+        np.copyto(level[:width], chunk)
+        chunk += ramp[:width]
+        chunk[0] = max(chunk[0], held - decay_db)
+        np.maximum.accumulate(chunk, out=chunk)
+        chunk -= ramp[:width]
         # the j == i term exactly, which adding and removing the ramp can round
-        np.maximum(chunk, level_db[frames], out=chunk)
+        np.maximum(chunk, level[:width], out=chunk)
+        held = chunk[-1]
     return envelope
 
 
@@ -268,42 +290,72 @@ def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float
     ``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]``, where ``a[i]`` is the attack
     coefficient ``exp(attack_log)`` when ``t[i] < y[i-1]`` and the release
     one ``exp(release_log)`` otherwise.
-    Computed in place, block by block: guess attack wherever a target lies
-    below the carried state, solve the now linear recurrence as
-    ``y = P*(y0 + cumsum((1 - a)*t/P))`` with ``P = exp(cumsum(log a))``,
-    then re-derive each choice from the solution. Every sample before the
-    first disagreement is exact, so that prefix is kept and the next block
-    starts after it; the first guess of a block is always right, so each
-    block keeps at least one sample.
+    Computed in place, block by block, as a fixed point over the choices:
+    start from the choices the carried state implies, solve the now linear
+    recurrence (``_solve_block``), re-derive every choice from the solution
+    and solve again until the choices are self-consistent, which keeps the
+    whole block. A solution is exact up to the first choice it contradicts,
+    so a block whose choices have not settled after ``_MAX_SOLVES`` solves
+    keeps that prefix, which is at least one frame since the first choice
+    depends only on the carried state, and the next block starts after it.
     """
     # indexed by the attack choice: 0 release, 1 attack
-    one_minus = 1.0 - np.exp([release_log, attack_log])
+    alpha = np.array([math.exp(release_log), math.exp(attack_log)])
     log_alpha = np.maximum([release_log, attack_log], -_MAX_BLOCK_DECAY)
     # P falls by at most exp(-_MAX_BLOCK_DECAY) over a block, so 1/P stays finite
     decay = -float(log_alpha.min())
-    block = _SCAN_BLOCK
-    if decay * _SCAN_BLOCK > _MAX_BLOCK_DECAY:
+    block = _SOLVE_BLOCK
+    if decay * _SOLVE_BLOCK > _MAX_BLOCK_DECAY:
         block = max(1, int(_MAX_BLOCK_DECAY / decay))
 
     state = 0.0
     start = 0
     while start < target_db.size:
         target = target_db[start : start + block]
-        attack = (target < state).view(np.uint8)
-        p = np.cumsum(log_alpha.take(attack))
-        np.exp(p, out=p)
-        y = one_minus.take(attack)
-        y *= target
-        y /= p
-        np.cumsum(y, out=y)
-        y += state
-        y *= p
-        wrong = attack[1:] != (target[1:] < y[:-1])
-        keep = int(wrong.argmax()) + 1 if wrong.any() else target.size
-        state = float(y[keep - 1])
-        target[:keep] = y[:keep]
+        attack = target < state
+        for _ in range(_MAX_SOLVES):
+            smoothed = _solve_block(target, attack, state, alpha, log_alpha)
+            derived = target[1:] < smoothed[:-1]
+            wrong = derived != attack[1:]
+            if not wrong.any():
+                keep = target.size
+                break
+            attack[1:] = derived
+        else:
+            keep = int(wrong.argmax()) + 1
+        state = float(smoothed[keep - 1])
+        target[:keep] = smoothed[:keep]
         start += keep
     return target_db
+
+
+def _solve_block(
+    target: np.ndarray,
+    attack: np.ndarray,
+    state: float,
+    alpha: np.ndarray,
+    log_alpha: np.ndarray,
+) -> np.ndarray:
+    """``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]`` from ``y[-1] = state`` for
+    fixed choices, ``a[i] = alpha[attack[i]]``, in a new array.
+
+    One choice throughout is one ``lfilter`` call, the same arithmetic as
+    the per-sample recursion. Mixed choices solve
+    ``y = P*(state + cumsum((1 - a)*t/P))`` with ``P = exp(cumsum(log a))``.
+    """
+    if attack.all() or not attack.any():
+        a = alpha[int(attack[0])]
+        return lfilter([1.0 - a], [1.0, -a], target, zi=[a * state])[0]
+    choice = attack.view(np.uint8)
+    p = np.cumsum(log_alpha.take(choice))
+    np.exp(p, out=p)
+    y = 1.0 - alpha.take(choice)
+    y *= target
+    y /= p
+    np.cumsum(y, out=y)
+    y += state
+    y *= p
+    return y
 
 
 def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> AudioBuffer:
@@ -329,20 +381,15 @@ def _compressor_gain(
     attack_log = -1.0 / (sample_rate * params.attack_ms / 1000.0)
     release_log = -1.0 / (sample_rate * params.release_ms / 1000.0)
 
-    # each frame-sized array is computed in place or released once the next
-    # exists, so at most two are alive beside the signal
-    level = np.abs(samples[0])
-    for channel in samples[1:]:
-        np.maximum(level, np.abs(channel), out=level)
-    np.maximum(level, 1e-12, out=level)
-    np.log10(level, out=level)
-    level *= 20.0
-    over_db = _peak_envelope_db(level, release_log)
-    del level
+    # one frame-sized array beside the signal: the detector's envelope,
+    # then the gain computer's target, the smoothed gain in dB and the
+    # linear gain are each written over it
+    over_db = _peak_envelope_db(samples, release_log)
     over_db -= params.threshold_db
     np.clip(over_db, 0.0, _MAX_OVER_DB, out=over_db)
     over_db *= 1.0 / params.ratio - 1.0
     gain = _smooth_gain_db(over_db, attack_log, release_log)
-    gain /= 20.0
-    np.power(10.0, gain, out=gain)
+    # 10**(g/20) as exp(g*ln(10)/20)
+    gain *= math.log(10.0) / 20.0
+    np.exp(gain, out=gain)
     return gain

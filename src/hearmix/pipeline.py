@@ -22,6 +22,7 @@ from .audio import (
     _chunks,
     _finite_number,
     _read_json,
+    _song_span,
     db_to_linear,
     ensure_aligned,
     read_wav,
@@ -193,18 +194,20 @@ def _front_end(
     """Ensemble, residual repair and remix in one pass over the song, into
     a new array that the caller owns.
 
-    The song is walked in chunks of frames. In each chunk every track is
-    averaged across the separators, then subtracted from the residual of
-    the mix (vocals, drums, bass) or blended with it ("other"), scaled to
-    its gain and added to the output. Every operation on a sample runs in
-    the order of ``ensemble_average`` → ``compute_residual`` →
+    The song is walked in spans of ``_song_span`` frames. In each span
+    every track is averaged across the separators, then subtracted from the
+    residual of the mix (vocals, drums, bass) or blended with it ("other"),
+    scaled to its gain and added to the output. Every operation on a sample
+    runs in the order of ``ensemble_average`` → ``compute_residual`` →
     ``blend_other`` → ``remix``, so the result is the same bits as
-    composing them. Beside the output, only chunk-sized arrays are alive.
+    composing them, whatever the span. Beside the output, only span-sized
+    arrays are alive.
     """
     w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
     scales = _linear_gains(gains)
     out = np.empty_like(stem_sets[0].vocals.samples)
-    residual = _chunk_scratch(mix.samples) if options.use_residual else None
+    span = _song_span(mix.n_frames)
+    residual = _chunk_scratch(mix.samples, span) if options.use_residual else None
     for frames, name, mean in _averaged_chunks(stem_sets, w, total):
         track = mean
         if residual is not None:
@@ -406,10 +409,21 @@ def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
                 )
 
 
+def _song_loads(job: BatchJob, base_dir: Path) -> Iterator[tuple[str, Any]]:
+    """A key and a loader for each file set of a job, in the order they are
+    loaded: the mixture ("mix"), then each stem spec (its sorted JSON).
+    Buffers are read-only, so jobs can share what a loader returns."""
+    yield "mix", lambda: _SharedMix(read_wav(job.mix_path))
+    for spec in job.stem_specs:
+        yield json.dumps(spec, sort_keys=True), lambda spec=spec: (
+            provider_from_spec(spec, base_dir).stems()
+        )
+
+
 def _load_song(job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]]:
-    """A job's mixture and stem sets, which jobs can share since buffers are read-only."""
-    mix = _SharedMix(read_wav(job.mix_path))
-    return mix, [provider_from_spec(spec, base_dir).stems() for spec in job.stem_specs]
+    """A job's mixture and stem sets."""
+    mix, *stem_sets = [load() for _, load in _song_loads(job, base_dir)]
+    return mix, stem_sets
 
 
 def _finish_job(
@@ -432,27 +446,35 @@ def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceRe
 
 
 class _Group:
-    """The jobs of a manifest that load the same mixture and stems, and the
-    song they share once one of them has loaded it."""
+    """The jobs of a manifest that name the same mixture, and the mixture
+    and stem sets they share once one of them has loaded each."""
 
     def __init__(self):
         self.pending: deque[int] = deque()  # manifest indexes not yet started
         self.unfinished = 0
         self._lock = threading.Lock()
-        self._song: tuple[_SharedMix, list[StemSet]] | str | None = None
+        # by _song_loads key: the loaded file set, or the error text of its load
+        self._loaded: dict[str, Any] = {}
 
     def song(self, job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]] | str:
-        """The loaded song, or the ``Type: message`` of the load that failed."""
+        """The job's loaded song, or the ``Type: message`` of the first of
+        its loads that failed."""
+        parts = []
         with self._lock:
-            if self._song is None:
-                try:
-                    self._song = _load_song(job, base_dir)
-                except Exception as exc:
-                    self._song = _error_text(exc)
-            return self._song
+            for key, load in _song_loads(job, base_dir):
+                if key not in self._loaded:
+                    try:
+                        self._loaded[key] = load()
+                    except Exception as exc:
+                        self._loaded[key] = _error_text(exc)
+                if isinstance(self._loaded[key], str):
+                    return self._loaded[key]
+                parts.append(self._loaded[key])
+        mix, *stem_sets = parts
+        return mix, stem_sets
 
     def drop(self) -> None:
-        self._song = None
+        self._loaded = {}
 
 
 def _error_text(exc: Exception) -> str:
@@ -460,12 +482,10 @@ def _error_text(exc: Exception) -> str:
 
 
 def _group_jobs(jobs: Sequence[BatchJob]) -> list[_Group]:
-    """Jobs grouped by resolved mixture path and stem specs, in order of
-    first appearance."""
-    groups: dict[tuple[Path, str], _Group] = {}
+    """Jobs grouped by resolved mixture path, in order of first appearance."""
+    groups: dict[Path, _Group] = {}
     for i, job in enumerate(jobs):
-        key = (job.mix_path.resolve(), json.dumps(job.stem_specs, sort_keys=True))
-        group = groups.setdefault(key, _Group())
+        group = groups.setdefault(job.mix_path.resolve(), _Group())
         group.pending.append(i)
         group.unfinished += 1
     return list(groups.values())
@@ -510,11 +530,11 @@ def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
     """Run every manifest job on ``workers`` threads with the default
     ``EnhanceOptions``, isolating per-job failures.
 
-    Jobs that name the same mixture and stem specs share one read-only load
-    of them and one measurement of the mixture's loudness; at most
-    ``workers`` songs are loaded at once. Failed jobs yield a report with
-    the ``error`` field set instead of aborting the batch; reports come
-    back in manifest order.
+    Jobs that name the same mixture share one read-only load of it, one
+    measurement of its loudness and one load of each stem spec they name;
+    at most ``workers`` songs (mixtures and their stem sets) are loaded at
+    once. Failed jobs yield a report with the ``error`` field set instead
+    of aborting the batch; reports come back in manifest order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

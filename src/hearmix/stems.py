@@ -22,6 +22,7 @@ from .audio import (
     _chunk_scratch,
     _chunks,
     _finite_number,
+    _song_span,
     ensure_aligned,
     read_wav,
 )
@@ -168,8 +169,8 @@ def ensemble_average(
     Weights default to equal, must be finite and non-negative with a
     positive, finite sum, and are normalized to sum to 1. Weights that
     overflow a track's weighted sum are rejected; the error names the
-    first track to overflow, going through the song chunk by chunk and
-    each chunk in ``TRACK_NAMES`` order.
+    first track to overflow, going through the song span by span and
+    each span in ``TRACK_NAMES`` order.
     """
     w, total = _ensemble_weights(stem_sets, weights)
     first = stem_sets[0]
@@ -212,9 +213,10 @@ def _ensemble_weights(
 def _averaged_chunks(
     stem_sets: Sequence[StemSet], w: np.ndarray, total: np.float64
 ) -> Iterator[tuple[slice, str, np.ndarray]]:
-    """Yield ``(frames, name, mean)`` chunk by chunk, and within a chunk
-    track by track in ``TRACK_NAMES`` order, for an ensemble that
-    ``_ensemble_weights`` accepted with weights ``w`` summing to ``total``.
+    """Yield ``(frames, name, mean)`` span by span (``_song_span`` frames
+    each), and within a span track by track in ``TRACK_NAMES`` order, for
+    an ensemble that ``_ensemble_weights`` accepted with weights ``w``
+    summing to ``total``.
 
     ``mean`` is the weighted mean of that track over those frames, summed
     first and divided once (not at all when the weights sum to exactly 1),
@@ -223,9 +225,10 @@ def _averaged_chunks(
     it in place.
     """
     sources = {name: [s.track(name).samples for s in stem_sets] for name in TRACK_NAMES}
-    acc = _chunk_scratch(stem_sets[0].vocals.samples)
+    span = _song_span(stem_sets[0].n_frames)
+    acc = _chunk_scratch(stem_sets[0].vocals.samples, span)
     term = np.empty_like(acc)
-    for frames in _chunks(stem_sets[0].n_frames):
+    for frames in _chunks(stem_sets[0].n_frames, span):
         width = frames.stop - frames.start
         mean, product = acc[:, :width], term[:, :width]
         for name in TRACK_NAMES:

@@ -431,16 +431,34 @@ def _noise_of_length(n):
     return lambda rng: rng.normal(0.0, 0.6, (2, n))
 
 
-_B = levels._SCAN_BLOCK
+def _pure_tone(rng):
+    # attack and release alternate within every cycle, for many blocks
+    return sine_buffer(440.0, 3.0, amplitude=1.0).samples
+
+
+def _long_runs(rng):
+    # a swell over three solve blocks and its decay over three more: one
+    # attack run and one release run, each much longer than a block
+    rise = np.linspace(0.0, 1.5, 3 * levels._SOLVE_BLOCK)
+    swell = np.concatenate([rise, rise[::-1]])
+    return np.stack([swell, 0.5 * swell])
+
+
+_B = levels._SOLVE_BLOCK
 ORACLE_INPUTS = {
     "white_noise": _white_noise,
     "sustained_tone": _sustained_tone,
+    "pure_tone": _pure_tone,
     "burst_then_silence": _burst_then_silence,
-    **{f"noise_{n}": _noise_of_length(n) for n in (0, 1, _B - 1, _B, _B + 1)},
+    "long_runs": _long_runs,
+    **{f"noise_{n}": _noise_of_length(n) for n in (0, 1, _B - 1, _B, _B + 1, 2 * _B + 17)},
 }
 ORACLE_PARAMS = {
     "default": CompressorParams(),
-    # a window of 264 samples keeps the scan's exp(cumsum(log a)) finite
+    # 0.1/1 ms: the choices switch within a few samples, and a block of
+    # 2,646 samples keeps the solve's exp(cumsum(log a)) finite
+    "snappy": CompressorParams(attack_ms=0.1, release_ms=1.0),
+    # a block of 264 samples keeps the solve's exp(cumsum(log a)) finite
     "fast": CompressorParams(threshold_db=-12.0, ratio=4.0, attack_ms=0.01, release_ms=0.05),
     # both coefficients underflow to 0: the output follows the static curve
     "instant": CompressorParams(attack_ms=1e-5, release_ms=1e-5),
@@ -448,7 +466,7 @@ ORACLE_PARAMS = {
 
 
 class TestCompressorOracles:
-    """The running max and the blockwise scan against the per-sample loops."""
+    """The running max and the blockwise fixed point against the per-sample loops."""
 
     @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
     @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
@@ -457,8 +475,7 @@ class TestCompressorOracles:
         release_log = -1.0 / (44100 * params.release_ms / 1000.0)
         level = np.max(np.abs(samples), axis=0)
         expected = 20.0 * np.log10(np.maximum(peak_detector_loop(level, math.exp(release_log)), 1e-12))
-        level_db = 20.0 * np.log10(np.maximum(level, 1e-12))
-        ours = levels._peak_envelope_db(level_db, release_log)
+        ours = levels._peak_envelope_db(samples, release_log)
         np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
 
     @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
@@ -490,27 +507,39 @@ class TestCompressorOracles:
         # a frame just under the held state: the loop that decayed to
         # alpha*state whenever x <= state dropped below x here
         level = np.concatenate([[1.0, 1.0 - 1e-7], rng.uniform(0.01, 1.0, 20_000)])
-        level_db = 20.0 * np.log10(level)
-        ours = levels._peak_envelope_db(level_db.copy(), -1.0 / (44100 * 0.1))
-        assert np.all(ours >= level_db)
+        ours = levels._peak_envelope_db(level[np.newaxis], -1.0 / (44100 * 0.1))
+        assert np.all(ours >= 20.0 * np.log10(level))
 
+    @pytest.mark.parametrize(
+        "make, params",
+        [(_white_noise, ORACLE_PARAMS["snappy"]), (_pure_tone, ORACLE_PARAMS["snappy"]),
+         (_pure_tone, ORACLE_PARAMS["default"])],
+        ids=["noise-snappy", "tone-snappy", "tone-default"],
+    )
+    def test_smoother_solves_a_few_times_per_block(self, rng, monkeypatch, make, params):
+        # the scan restarted at every wrong attack/release guess, which a
+        # tone or a short attack makes every few samples
+        solve, solved = levels._solve_block, []
 
-def whole_ramp_envelope_db(level_db: np.ndarray, release_log: float) -> np.ndarray:
-    """The running-max envelope with one frame-sized ramp: the form the
-    chunked ramp must reproduce bit for bit."""
-    decay_db = -20.0 * math.log10(math.e) * release_log
-    if level_db.size:
-        decay_db = min(decay_db, float(np.ptp(level_db)))
-    ramp = np.arange(level_db.size) * decay_db
-    envelope = np.maximum.accumulate(level_db + ramp)
-    envelope -= ramp
-    return np.maximum(envelope, level_db)
+        def counting_solve(target, *args):
+            solved.append(target.size)
+            return solve(target, *args)
+
+        monkeypatch.setattr(levels, "_solve_block", counting_solve)
+        samples = make(rng)
+        levels._compressor_gain(samples, 44100, params)
+        assert len(solved) * 256 <= samples.shape[1]
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)
-@pytest.mark.parametrize("release_ms", [0.05, 100.0])
-def test_chunked_ramp_is_the_whole_ramp(rng, n, release_ms):
-    level_db = 20.0 * np.log10(rng.uniform(1e-3, 1.5, n))
+@pytest.mark.parametrize("release_ms", [1e-5, 0.05, 100.0])
+def test_chunked_detector_matches_the_loop(rng, n, release_ms):
+    # the held envelope carries across chunk edges; at 1e-5 ms the decay
+    # is capped at the levels' range, 240 dB per sample here
+    samples = rng.uniform(-1.5, 1.5, (2, n))
+    samples[:, ::7] = 0.0  # frames at the -240 dB floor
     release_log = -1.0 / (44100 * release_ms / 1000.0)
-    ours = levels._peak_envelope_db(level_db, release_log)
-    assert np.array_equal(ours, whole_ramp_envelope_db(level_db, release_log))
+    level = np.max(np.abs(samples), axis=0)
+    expected = 20.0 * np.log10(np.maximum(peak_detector_loop(level, math.exp(release_log)), 1e-12))
+    ours = levels._peak_envelope_db(samples, release_log)
+    np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)

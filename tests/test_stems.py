@@ -24,6 +24,7 @@ from hearmix import stems as stems_module
 from hearmix.stems import _CHUNK_FRAMES, TRACK_NAMES
 from util import (
     CHUNK_EDGES,
+    SPAN_EDGES,
     assert_read_only,
     exact_mix,
     make_buffer,
@@ -202,8 +203,8 @@ def whole_song_average(stem_sets, weights):
 
 
 class TestEnsembleChunks:
-    """The chunked average against the whole-song formula, bit for bit,
-    at lengths around the chunk size."""
+    """The span-wise average against the whole-song formula, bit for bit,
+    at lengths around the chunk size and where spans outgrow it."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     # unit weights and a unit total skip their multiply and divide
@@ -211,7 +212,7 @@ class TestEnsembleChunks:
         "k, weights",
         [(1, None), (3, None), (3, (0.2, 1.5, 0.7)), (3, (1.0, 0.5, 1.0)), (2, (0.25, 0.75))],
     )
-    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES + SPAN_EDGES)
     def test_matches_the_whole_song_formula(self, rng, n_frames, k, weights, order):
         _, sets = random_stem_sets(rng, n_frames, k, order)
         out = ensemble_average(sets, weights)

@@ -83,6 +83,9 @@ def exact_mix(stems: StemSet) -> AudioBuffer:
 # song lengths around the front end's chunk size, from one frame to two
 # chunks and a partial third
 CHUNK_EDGES = (1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 17)
+# lengths whose front-end span (1/16 of the song, one to four chunks) is
+# longer than a chunk, and where the four-chunk cap binds
+SPAN_EDGES = (16 * _CHUNK_FRAMES + 4321, 64 * _CHUNK_FRAMES + 17)
 
 
 def random_stem_sets(
