@@ -21,12 +21,12 @@ import numpy as np
 
 from hearmix import (
     AudioBuffer,
-    GainSpec,
     Listener,
     StemSet,
     apply_crosstalk,
     CrosstalkKernel,
     enhance,
+    load_gains,
     load_listener,
     write_wav,
 )
@@ -120,7 +120,7 @@ def main():
     )
 
     listener = load_listener(out / "listener.json")
-    gains = GainSpec(3.0, 0.0, -3.0, 0.0)
+    gains = load_gains(out / "gains.json")
     enhanced, report = enhance(received, [crosstalked_stems], gains, listener, song_id="demo")
     write_wav(enhanced, out / "enhanced.wav")
 

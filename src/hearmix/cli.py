@@ -21,6 +21,7 @@ from .metrics import REPORT_SCHEMA_VERSION, evaluate_song
 from .pipeline import (
     BatchJob,
     EnhanceOptions,
+    _error_text,
     build_reference,
     load_gains,
     load_manifest,
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # surface one clean line instead of a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -420,31 +420,6 @@ def _song_loads(job: BatchJob, base_dir: Path) -> Iterator[tuple[str, Any]]:
         )
 
 
-def _load_song(job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]]:
-    """A job's mixture and stem sets."""
-    mix, *stem_sets = [load() for _, load in _song_loads(job, base_dir)]
-    return mix, stem_sets
-
-
-def _finish_job(
-    job: BatchJob, song: tuple[_SharedMix, list[StemSet]], options: EnhanceOptions
-) -> EnhanceReport:
-    """Load the job's gains and listener, enhance its song and write the output."""
-    gains = load_gains(job.gains_path)
-    listener = load_listener(job.listener_path)
-    mix, stem_sets = song
-    output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)
-    job.output_path.parent.mkdir(parents=True, exist_ok=True)
-    write_wav(output, job.output_path)
-    return report
-
-
-def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
-    """Load one job's inputs, enhance the song and write its output, creating
-    the output folder. Stem specs resolve against ``base_dir``. Errors propagate."""
-    return _finish_job(job, _load_song(job, base_dir), options)
-
-
 class _Group:
     """The jobs of a manifest that name the same mixture, and the mixture
     and stem sets they share once one of them has loaded each."""
@@ -453,12 +428,12 @@ class _Group:
         self.pending: deque[int] = deque()  # manifest indexes not yet started
         self.unfinished = 0
         self._lock = threading.Lock()
-        # by _song_loads key: the loaded file set, or the error text of its load
+        # by _song_loads key: the loaded file set, or the error its load raised
         self._loaded: dict[str, Any] = {}
 
-    def song(self, job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]] | str:
-        """The job's loaded song, or the ``Type: message`` of the first of
-        its loads that failed."""
+    def song(self, job: BatchJob, base_dir: Path) -> tuple[_SharedMix, list[StemSet]]:
+        """The job's mixture and stem sets. The first of its loads that
+        failed raises its error again, for every job that names it."""
         parts = []
         with self._lock:
             for key, load in _song_loads(job, base_dir):
@@ -466,15 +441,34 @@ class _Group:
                     try:
                         self._loaded[key] = load()
                     except Exception as exc:
-                        self._loaded[key] = _error_text(exc)
-                if isinstance(self._loaded[key], str):
-                    return self._loaded[key]
+                        # without its traceback the error keeps no loader frames alive
+                        self._loaded[key] = exc.with_traceback(None)
+                if isinstance(self._loaded[key], Exception):
+                    raise self._loaded[key]
                 parts.append(self._loaded[key])
         mix, *stem_sets = parts
         return mix, stem_sets
 
     def drop(self) -> None:
         self._loaded = {}
+
+
+def _run(group: _Group, job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
+    """Take the job's song from ``group``, load its gains and listener,
+    enhance the song and write the output, creating the output folder."""
+    mix, stem_sets = group.song(job, base_dir)
+    gains = load_gains(job.gains_path)
+    listener = load_listener(job.listener_path)
+    output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)
+    job.output_path.parent.mkdir(parents=True, exist_ok=True)
+    write_wav(output, job.output_path)
+    return report
+
+
+def run_job(job: BatchJob, base_dir: Path, options: EnhanceOptions) -> EnhanceReport:
+    """Run one job as a batch group of one. Stem specs resolve against
+    ``base_dir``. Errors propagate."""
+    return _run(_Group(), job, base_dir, options)
 
 
 def _error_text(exc: Exception) -> str:
@@ -543,20 +537,15 @@ def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
     reports: list[EnhanceReport | None] = [None] * len(jobs)
     schedule = _Schedule(_group_jobs(jobs), workers)
 
-    def isolated(group: _Group, job: BatchJob) -> EnhanceReport:
-        try:
-            song = group.song(job, manifest.base_dir)
-            if not isinstance(song, str):
-                return _finish_job(job, song, options)
-            error = song
-        except Exception as exc:
-            error = _error_text(exc)
-        return EnhanceReport(song_id=job.song_id, options=options.as_dict(), error=error)
-
     def work() -> None:
         while (task := schedule.take()) is not None:
             group, i = task
-            reports[i] = isolated(group, jobs[i])
+            try:
+                reports[i] = _run(group, jobs[i], manifest.base_dir, options)
+            except Exception as exc:
+                reports[i] = EnhanceReport(
+                    song_id=jobs[i].song_id, options=options.as_dict(), error=_error_text(exc)
+                )
             schedule.done(group)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

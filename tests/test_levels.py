@@ -462,6 +462,8 @@ ORACLE_PARAMS = {
     "fast": CompressorParams(threshold_db=-12.0, ratio=4.0, attack_ms=0.01, release_ms=0.05),
     # both coefficients underflow to 0: the output follows the static curve
     "instant": CompressorParams(attack_ms=1e-5, release_ms=1e-5),
+    # equal nonzero coefficients: the attack/release choice changes nothing
+    "equal": CompressorParams(attack_ms=20.0, release_ms=20.0),
 }
 
 
@@ -513,22 +515,37 @@ class TestCompressorOracles:
     @pytest.mark.parametrize(
         "make, params",
         [(_white_noise, ORACLE_PARAMS["snappy"]), (_pure_tone, ORACLE_PARAMS["snappy"]),
-         (_pure_tone, ORACLE_PARAMS["default"])],
-        ids=["noise-snappy", "tone-snappy", "tone-default"],
+         (_pure_tone, ORACLE_PARAMS["default"]), (_pure_tone, ORACLE_PARAMS["instant"])],
+        ids=["noise-snappy", "tone-snappy", "tone-default", "tone-instant"],
     )
     def test_smoother_solves_a_few_times_per_block(self, rng, monkeypatch, make, params):
         # the scan restarted at every wrong attack/release guess, which a
         # tone or a short attack makes every few samples
-        solve, solved = levels._solve_block, []
-
-        def counting_solve(target, *args):
-            solved.append(target.size)
-            return solve(target, *args)
-
-        monkeypatch.setattr(levels, "_solve_block", counting_solve)
         samples = make(rng)
-        levels._compressor_gain(samples, 44100, params)
+        solved = _count_solves(monkeypatch, samples, params)
         assert len(solved) * 256 <= samples.shape[1]
+
+    @pytest.mark.parametrize("make", [_white_noise, _pure_tone], ids=["noise", "tone"])
+    @pytest.mark.parametrize("params", ["instant", "equal"])
+    def test_equal_coefficients_solve_at_most_twice_per_block(self, rng, monkeypatch, make, params):
+        # with one coefficient the choices cannot change the solution, so the
+        # second solve confirms the first, and no cap shortens the block
+        samples = make(rng)
+        solved = _count_solves(monkeypatch, samples, ORACLE_PARAMS[params])
+        assert len(solved) <= 2 * -(-samples.shape[1] // levels._SOLVE_BLOCK)
+
+
+def _count_solves(monkeypatch, samples, params) -> list[int]:
+    """The size of each block the smoother solves in computing the compressor's gain."""
+    solve, solved = levels._solve_block, []
+
+    def counting_solve(target, *args):
+        solved.append(target.size)
+        return solve(target, *args)
+
+    monkeypatch.setattr(levels, "_solve_block", counting_solve)
+    levels._compressor_gain(samples, 44100, params)
+    return solved
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)

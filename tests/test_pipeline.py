@@ -44,6 +44,7 @@ from hearmix import (
     write_wav,
 )
 from hearmix import hearing, pipeline, stems as stems_module
+from hearmix.cli import EXIT_FAILURE, main
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
 from hearmix.audio import _CHUNK_FRAMES
 from hearmix.stems import TRACK_NAMES
@@ -897,13 +898,11 @@ class TestSharedLoading:
                 assert report.error is None
                 assert job.output_path.exists()
 
-    @pytest.mark.parametrize(
-        "breakage",
-        ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "truncated_stem",
-         "missing_stem_file", "missing_stem_folder", "bad_listener"],
-    )
-    def test_errors_match_each_job_run_alone(self, tmp_path, rng, breakage):
-        manifest = self._manifest(tmp_path, rng)
+    BREAKAGES = ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "truncated_stem",
+                 "missing_stem_file", "missing_stem_folder", "bad_listener"]
+
+    def _break(self, tmp_path, rng, breakage):
+        """Damage the inputs of song0's jobs, or of listener 1's."""
         song = tmp_path / "song0"
         n_frames = read_wav(song / "mix.wav").n_frames
         if breakage.startswith("silent_mix"):
@@ -923,6 +922,11 @@ class TestSharedLoading:
             (song / "sep0").rmdir()
         if breakage == "bad_listener":
             (tmp_path / "listener1.json").write_text("[]")
+
+    @pytest.mark.parametrize("breakage", BREAKAGES)
+    def test_errors_match_each_job_run_alone(self, tmp_path, rng, breakage):
+        manifest = self._manifest(tmp_path, rng)
+        self._break(tmp_path, rng, breakage)
         alone = {}
         for job in manifest.jobs:
             try:
@@ -934,6 +938,36 @@ class TestSharedLoading:
         for workers in (1, 2):
             reports = run_batch(manifest, workers=workers)
             assert {r.song_id: r.error for r in reports} == alone
+
+    @pytest.mark.parametrize("breakage", BREAKAGES)
+    def test_enhance_prints_the_batch_error(self, tmp_path, rng, capsys, breakage):
+        manifest = self._manifest(tmp_path, rng)
+        self._break(tmp_path, rng, breakage)
+        reports = run_batch(manifest)
+        failed = [(job, r.error) for job, r in zip(manifest.jobs, reports) if r.error]
+        assert failed
+        for job, error in failed:
+            stems = [a for spec in job.stem_specs for a in ("--stems", str(tmp_path / spec))]
+            rc = main(
+                ["enhance", "--mix", str(job.mix_path), *stems, "--gains", str(job.gains_path),
+                 "--listener", str(job.listener_path), "--out", str(job.output_path)]
+            )
+            assert rc == EXIT_FAILURE
+            assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_a_stem_folder_named_twice_is_decoded_once(self, tmp_path, rng, monkeypatch):
+        manifest = self._manifest(tmp_path, rng, songs=1, listeners=1, k=1)
+        job = replace(manifest.jobs[0], stem_specs=("song0/sep0", "song0/sep0"))
+        decoded = []
+
+        def counting(path):
+            decoded.append(path)
+            return read_wav(path)
+
+        monkeypatch.setattr(pipeline, "read_wav", counting)
+        monkeypatch.setattr(stems_module, "read_wav", counting)
+        pipeline.run_job(job, manifest.base_dir, EnhanceOptions())
+        assert len(decoded) == len(set(decoded)) == 1 + 4
 
     def test_at_most_workers_songs_are_held(self, tmp_path, rng):
         # listener-major: a cache of every song in manifest order would hold all four
