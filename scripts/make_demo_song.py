@@ -2,13 +2,16 @@
 """Synthesize a small demo song and run it through the enhancement chain.
 
 Creates a working directory holding per-track stems, the mixture, a gains
-file, a listener file, and a mild crosstalk kernel, then runs the full
-pipeline and prints the report. The files double as ready-made inputs for
-the CLI, e.g.:
+file, a listener file, and a mild crosstalk kernel (``kernel.wav``, four
+channels: LL, RL, LR, RR), then runs the full pipeline and prints the
+report. The stems and the mixture are heard through that kernel. The files
+double as ready-made inputs for the CLI, e.g.:
 
     hearmix enhance --mix demo/mix.wav --stems demo/stems \\
         --gains demo/gains.json --listener demo/listener.json \\
         --out demo/enhanced.wav
+    hearmix simulate --in demo/enhanced.wav --kernel demo/kernel.wav \\
+        --out demo/heard.wav
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ def main():
     for name, buffer in crosstalked_stems.as_dict().items():
         write_wav(buffer, out / "stems" / f"{name}.wav")
     write_wav(received, out / "mix.wav")
+    write_wav(
+        AudioBuffer(np.stack([kernel.h_ll, kernel.h_rl, kernel.h_lr, kernel.h_rr]), args.rate),
+        out / "kernel.wav",
+    )
 
     (out / "gains.json").write_text(
         json.dumps({"vocals": 3.0, "drums": 0.0, "bass": -3.0, "other": 0.0}, indent=2)

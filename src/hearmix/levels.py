@@ -290,7 +290,9 @@ def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float
     ``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]``, where ``a[i]`` is the attack
     coefficient ``exp(attack_log)`` when ``t[i] < y[i-1]`` and the release
     one ``exp(release_log)`` otherwise.
-    Computed in place, block by block, as a fixed point over the choices:
+    Equal coefficients leave no choice: one ``lfilter`` call over the whole
+    signal, into a new array. Otherwise computed in place, block by block,
+    as a fixed point over the choices:
     start from the choices the carried state implies, solve the now linear
     recurrence (``_solve_block``), re-derive every choice from the solution
     and solve again until the choices are self-consistent, which keeps the
@@ -301,12 +303,14 @@ def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float
     """
     # indexed by the attack choice: 0 release, 1 attack
     alpha = np.array([math.exp(release_log), math.exp(attack_log)])
+    if alpha[0] == alpha[1]:  # no choice to make: one linear recurrence
+        a = alpha[0]
+        return lfilter([1.0 - a], [1.0, -a], target_db, zi=[0.0])[0]
     log_alpha = np.maximum([release_log, attack_log], -_MAX_BLOCK_DECAY)
-    # P falls by at most exp(-_MAX_BLOCK_DECAY) over a block, so 1/P stays
-    # finite; equal coefficients never take that solve, so need no cap
+    # P falls by at most exp(-_MAX_BLOCK_DECAY) over a block, so 1/P stays finite
     decay = -float(log_alpha.min())
     block = _SOLVE_BLOCK
-    if alpha[0] != alpha[1] and decay * _SOLVE_BLOCK > _MAX_BLOCK_DECAY:
+    if decay * _SOLVE_BLOCK > _MAX_BLOCK_DECAY:
         block = max(1, int(_MAX_BLOCK_DECAY / decay))
 
     state = 0.0
@@ -340,11 +344,11 @@ def _solve_block(
     """``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]`` from ``y[-1] = state`` for
     fixed choices, ``a[i] = alpha[attack[i]]``, in a new array.
 
-    One choice throughout, or equal coefficients, is one ``lfilter`` call,
-    the same arithmetic as the per-sample recursion. Mixed choices solve
+    One choice throughout is one ``lfilter`` call, the same arithmetic as
+    the per-sample recursion. Mixed choices solve
     ``y = P*(state + cumsum((1 - a)*t/P))`` with ``P = exp(cumsum(log a))``.
     """
-    if alpha[0] == alpha[1] or attack.all() or not attack.any():
+    if attack.all() or not attack.any():
         a = alpha[int(attack[0])]
         return lfilter([1.0 - a], [1.0, -a], target, zi=[a * state])[0]
     choice = attack.view(np.uint8)

@@ -45,10 +45,9 @@ from .metrics import EnhanceReport
 from .stems import (
     TRACK_NAMES,
     StemSet,
-    _averaged_chunks,
     _ensemble_weights,
     _spec_files,
-    blend_other,
+    blend_other,  # unused: perfbench's zero-call test deletes pipeline.blend_other
     provider_from_spec,
 )
 
@@ -80,6 +79,10 @@ class GainSpec:
             value = float(getattr(self, name))
             if np.isnan(value) or value == float("inf"):
                 raise ValueError(f"{name} gain must be finite or -inf (mute), got {value}")
+            try:
+                db_to_linear(value)
+            except OverflowError:
+                raise ValueError(f"{name} gain of {value} dB has no finite linear factor") from None
             object.__setattr__(self, name, value)
 
     def gain(self, track: str) -> float:
@@ -115,7 +118,10 @@ def load_gains(path) -> GainSpec:
             values[name] = MUTE
         else:
             values[name] = _finite_number(raw, f"{path}: gain for {name}")
-    return GainSpec(**values)
+    try:
+        return GainSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -147,31 +153,39 @@ def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
 
 
 def _remix(stems: StemSet, gains: GainSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """``remix`` in chunks of frames, written over ``out`` when it is given."""
+    """``remix``'s samples, written over ``out`` when it is given."""
     scales = _linear_gains(gains)
-    if out is None:
-        out = np.empty_like(stems.vocals.samples)
-    term = _chunk_scratch(out)
-    for frames in _chunks(stems.n_frames):
-        product = term[:, : frames.stop - frames.start]
-        for name in TRACK_NAMES:
-            x = stems.track(name).samples[:, frames]
-            _scale_add(out[:, frames], x, scales[name], name == TRACK_NAMES[0], product)
-    return out
+    return _weighted_sum([(scales[name], stems.track(name).samples) for name in TRACK_NAMES], out)
 
 
 def _linear_gains(gains: GainSpec) -> dict[str, float]:
     return {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
 
 
-def _scale_add(out: np.ndarray, x: np.ndarray, gain: float, first: bool, term: np.ndarray) -> None:
-    """``out = gain*x`` for the first track and ``out += gain*x`` after it;
-    ``term`` is scratch space and may be ``x`` itself."""
-    if first:
-        np.multiply(x, gain, out=out)
-    else:
-        np.multiply(x, gain, out=term)
-        out += term
+def _weighted_sum(
+    terms: Sequence[tuple[float, np.ndarray]], out: np.ndarray | None = None
+) -> np.ndarray:
+    """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
+    in their order, into ``out`` (a new array when it is not given).
+
+    The song is walked in spans of ``_song_span`` frames. In each span the
+    first product is written into ``out`` and each later one is added
+    through one span of scratch, so beside the output only that span is
+    alive, and the result is the same bits whatever the span.
+    """
+    (first_scale, first), *rest = terms
+    if out is None:
+        out = np.empty_like(first)
+    n_frames = out.shape[1]
+    span = _song_span(n_frames)
+    scratch = _chunk_scratch(out, span)
+    for frames in _chunks(n_frames, span):
+        acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
+        np.multiply(first[:, frames], first_scale, out=acc)
+        for scale, x in rest:
+            np.multiply(x[:, frames], scale, out=product)
+            acc += product
+    return out
 
 
 def _require_stereo(signal: AudioBuffer, caller: str) -> None:
@@ -191,36 +205,29 @@ def _front_end(
     gains: GainSpec,
     options: EnhanceOptions,
 ) -> np.ndarray:
-    """Ensemble, residual repair and remix in one pass over the song, into
-    a new array that the caller owns.
+    """Ensemble, residual repair and remix as one weighted sum over the
+    separators' tracks and the mix, into a new array that the caller owns.
 
-    The song is walked in spans of ``_song_span`` frames. In each span
-    every track is averaged across the separators, then subtracted from the
-    residual of the mix (vocals, drums, bass) or blended with it ("other"),
-    scaled to its gain and added to the output. Every operation on a sample
-    runs in the order of ``ensemble_average`` → ``compute_residual`` →
-    ``blend_other`` → ``remix``, so the result is the same bits as
-    composing them, whatever the span. Beside the output, only span-sized
-    arrays are alive.
+    All three stages are linear, so each input gets one coefficient. Track
+    ``t`` of separator ``k`` gets ``c_t * (w_k / W)`` for ensemble weights
+    ``w`` summing to ``W``. Without residual repair ``c_t`` is the track's
+    linear gain ``g_t``. With it, ``g_o * (o + mix - v - d - b) / 2`` gives
+    vocals, drums and bass ``g_t - g_o/2``, "other" ``g_o/2``, and the mix
+    joins as a last term of ``g_o/2``. Terms run in ``TRACK_NAMES`` order,
+    separators in order within a track, then the mix.
     """
     w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
     scales = _linear_gains(gains)
-    out = np.empty_like(stem_sets[0].vocals.samples)
-    span = _song_span(mix.n_frames)
-    residual = _chunk_scratch(mix.samples, span) if options.use_residual else None
-    for frames, name, mean in _averaged_chunks(stem_sets, w, total):
-        track = mean
-        if residual is not None:
-            r = residual[:, : frames.stop - frames.start]
-            if name == TRACK_NAMES[0]:
-                np.copyto(r, mix.samples[:, frames])
-            if name == "other":  # the last track: the residual is complete
-                track = blend_other(mix.with_samples(mean), mix.with_samples(r)).samples
-            else:
-                r -= mean
-        # the mean is scratch space, so the scaled track is written into it
-        _scale_add(out[:, frames], track, scales[name], name == TRACK_NAMES[0], mean)
-    return out
+    half_other = scales["other"] / 2
+    terms = []
+    for name in TRACK_NAMES:
+        scale = scales[name]
+        if options.use_residual:
+            scale = half_other if name == "other" else scale - half_other
+        terms += [(scale * (wk / total), s.track(name).samples) for wk, s in zip(w, stem_sets)]
+    if options.use_residual:
+        terms.append((half_other, mix.samples))
+    return _weighted_sum(terms)
 
 
 class _SharedMix(AudioBuffer):

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .audio import (
     _CHUNK_FRAMES,
+    AlignmentError,
     AudioBuffer,
     _chunk_scratch,
     _chunks,
@@ -87,7 +88,10 @@ class DirectoryStemProvider:
             if not path.exists():
                 raise FileNotFoundError(f"missing stem file: {path}")
             buffers[name] = read_wav(path)
-        return StemSet(**buffers)
+        try:
+            return StemSet(**buffers)
+        except AlignmentError as exc:
+            raise AlignmentError(f"{self.directory}: {exc}") from None
 
 
 class NoisyOracleStemProvider:
@@ -175,8 +179,36 @@ def ensemble_average(
     w, total = _ensemble_weights(stem_sets, weights)
     first = stem_sets[0]
     tracks = {name: np.empty_like(first.track(name).samples) for name in TRACK_NAMES}
-    for frames, name, mean in _averaged_chunks(stem_sets, w, total):
-        tracks[name][:, frames] = mean
+    span = _song_span(first.n_frames)
+    scratch = _chunk_scratch(first.vocals.samples, span)
+    for frames in _chunks(first.n_frames, span):
+        product = scratch[:, : frames.stop - frames.start]
+        for name in TRACK_NAMES:
+            mean = tracks[name][:, frames]
+            x0, *rest = (s.track(name).samples[:, frames] for s in stem_sets)
+            try:
+                with np.errstate(over="raise"):
+                    # 0 + w[0]*x[0] + w[1]*x[1] + ..., divided once below, keeps
+                    # equal-weight averages and one-hot selections exact. Adding
+                    # 0.0 to the first product is adding it to zeros (-0.0
+                    # becomes +0.0); a weight of exactly 1.0 is not multiplied
+                    if w[0] == 1.0:
+                        np.add(x0, 0.0, out=mean)
+                    else:
+                        np.multiply(x0, w[0], out=mean)
+                        mean += 0.0
+                    for weight, x in zip(w[1:], rest):
+                        if weight == 1.0:
+                            mean += x
+                        else:
+                            np.multiply(x, weight, out=product)
+                            mean += product
+            except FloatingPointError:
+                raise ValueError(
+                    f"ensemble weights {w.tolist()} overflow the weighted sum of the {name} track"
+                ) from None
+            if total != 1.0:  # x / 1.0 is x
+                mean /= total
     return StemSet(**{name: first.vocals.with_samples(x) for name, x in tracks.items()})
 
 
@@ -208,55 +240,6 @@ def _ensemble_weights(
     if total <= 0.0:
         raise ValueError("ensemble weights must not all be zero")
     return w, total
-
-
-def _averaged_chunks(
-    stem_sets: Sequence[StemSet], w: np.ndarray, total: np.float64
-) -> Iterator[tuple[slice, str, np.ndarray]]:
-    """Yield ``(frames, name, mean)`` span by span (``_song_span`` frames
-    each), and within a span track by track in ``TRACK_NAMES`` order, for
-    an ensemble that ``_ensemble_weights`` accepted with weights ``w``
-    summing to ``total``.
-
-    ``mean`` is the weighted mean of that track over those frames, summed
-    first and divided once (not at all when the weights sum to exactly 1),
-    which keeps equal-weight averages and one-hot selections exact. It is
-    scratch space that the next step overwrites, so the caller may change
-    it in place.
-    """
-    sources = {name: [s.track(name).samples for s in stem_sets] for name in TRACK_NAMES}
-    span = _song_span(stem_sets[0].n_frames)
-    acc = _chunk_scratch(stem_sets[0].vocals.samples, span)
-    term = np.empty_like(acc)
-    for frames in _chunks(stem_sets[0].n_frames, span):
-        width = frames.stop - frames.start
-        mean, product = acc[:, :width], term[:, :width]
-        for name in TRACK_NAMES:
-            first, *rest = sources[name]
-            try:
-                with np.errstate(over="raise"):
-                    # 0 + w[0]*x[0] + w[1]*x[1] + ...: IEEE addition commutes,
-                    # so adding 0.0 to the first product is the same bits as
-                    # adding that product to zeros (-0.0 becomes +0.0). A
-                    # weight of exactly 1.0 is not multiplied: x * 1.0 is x
-                    if w[0] == 1.0:
-                        np.add(first[:, frames], 0.0, out=mean)
-                    else:
-                        np.multiply(first[:, frames], w[0], out=mean)
-                        mean += 0.0
-                    for weight, x in zip(w[1:], rest):
-                        if weight == 1.0:
-                            mean += x[:, frames]
-                        else:
-                            np.multiply(x[:, frames], weight, out=product)
-                            mean += product
-            except FloatingPointError:
-                raise ValueError(
-                    f"ensemble weights {w.tolist()} overflow the weighted sum of the {name} track"
-                ) from None
-            if total != 1.0:  # x / 1.0 is x
-                mean /= total
-            yield frames, name, mean
 
 
 def compute_residual(mix: AudioBuffer, stems: StemSet) -> AudioBuffer:

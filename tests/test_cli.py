@@ -157,6 +157,22 @@ class TestEnhanceCommand:
         assert "ensemble weights must have a finite sum" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
+    def test_gain_with_overflowing_linear_factor_fails_naming_the_file(self, song, capsys):
+        gains = write_gains_file(song / "loud_gains.json", drums=7000)
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--gains", str(gains),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {gains}: drums gain")
+        assert not (song / "enhanced.wav").exists()
+
     def test_compressor_flag_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(
             ["enhance", "--mix", "m.wav", "--stems", "s", "--gains", "g.json",

@@ -527,12 +527,11 @@ class TestCompressorOracles:
 
     @pytest.mark.parametrize("make", [_white_noise, _pure_tone], ids=["noise", "tone"])
     @pytest.mark.parametrize("params", ["instant", "equal"])
-    def test_equal_coefficients_solve_at_most_twice_per_block(self, rng, monkeypatch, make, params):
-        # with one coefficient the choices cannot change the solution, so the
-        # second solve confirms the first, and no cap shortens the block
+    def test_equal_coefficients_solve_no_block(self, rng, monkeypatch, make, params):
+        # with one coefficient there are no choices to settle: the whole
+        # signal is one lfilter call
         samples = make(rng)
-        solved = _count_solves(monkeypatch, samples, ORACLE_PARAMS[params])
-        assert len(solved) <= 2 * -(-samples.shape[1] // levels._SOLVE_BLOCK)
+        assert _count_solves(monkeypatch, samples, ORACLE_PARAMS[params]) == []
 
 
 def _count_solves(monkeypatch, samples, params) -> list[int]:

@@ -86,6 +86,12 @@ class TestGainSpec:
         with pytest.raises(ValueError):
             GainSpec(float("inf"), 0.0, 0.0, 0.0)
 
+    def test_rejects_a_gain_whose_linear_factor_overflows(self):
+        # 10**(6165/20) is about 1.8e308, the largest float's neighbourhood
+        assert np.isfinite(GainSpec(0.0, 0.0, 6165.0, 0.0).bass)
+        with pytest.raises(ValueError, match=r"^bass gain of 7000\.0 dB has no finite linear factor"):
+            GainSpec(0.0, 0.0, 7000.0, 0.0)
+
     def test_load_gains(self, tmp_path):
         path = tmp_path / "gains.json"
         path.write_text(json.dumps({"vocals": "mute", "drums": -3, "bass": 0, "other": 2.5}))
@@ -124,6 +130,12 @@ class TestGainSpec:
         path = tmp_path / "broken_gains.json"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="broken_gains.json"):
+            load_gains(path)
+
+    def test_load_gains_overflowing_linear_factor_names_file_and_field(self, tmp_path):
+        path = tmp_path / "loud_gains.json"
+        write_gains_file(path, vocals=7000)
+        with pytest.raises(ValueError, match=r"loud_gains\.json: vocals gain of 7000\.0 dB"):
             load_gains(path)
 
     @pytest.mark.parametrize(
@@ -197,8 +209,41 @@ def _composed_front_end(mix, sets, gains, weights, use_residual):
     return remix(averaged, gains).samples
 
 
+def whole_song_front_end(mix, sets, gains, weights, use_residual):
+    """The front end's weighted sum over whole songs: track ``t`` of set
+    ``k`` scaled by ``c_t * (w_k / W)``, where ``c_t`` is the track's gain,
+    or with residual repair ``g_t - g_o/2`` ("other": ``g_o/2``), and the
+    mix by ``g_o/2``; summed in ``TRACK_NAMES`` order, sets in order within
+    a track, the mix last."""
+    w = np.ones(len(sets)) if weights is None else np.asarray(weights, dtype=np.float64)
+    total = w.sum()
+    scales = {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
+    half_other = scales["other"] / 2
+    terms = []
+    for name in TRACK_NAMES:
+        scale = scales[name]
+        if use_residual:
+            scale = half_other if name == "other" else scale - half_other
+        terms += [(scale * (wk / total), s.track(name).samples) for wk, s in zip(w, sets)]
+    if use_residual:
+        terms.append((half_other, mix.samples))
+    (first_scale, first), *rest = terms
+    acc = first_scale * first
+    for scale, x in rest:
+        acc += scale * x
+    return acc
+
+
+def assert_within_rounding(out, expected):
+    """``out`` differs from ``expected`` by at most 16 eps of ``expected``'s peak."""
+    bound = 16 * np.finfo(np.float64).eps * np.max(np.abs(expected), initial=0.0)
+    assert np.all(np.abs(out - expected) <= bound)
+
+
 class TestFrontEnd:
-    """The one-pass front end against the composition of the public stages."""
+    """The one-pass front end against a whole-song oracle of the same
+    weighted sum, and against the composition of the public stages, which
+    rounds in other places."""
 
     @pytest.mark.parametrize("use_residual", [True, False], ids=["residual", "no_residual"])
     @pytest.mark.parametrize(
@@ -209,15 +254,13 @@ class TestFrontEnd:
     @pytest.mark.parametrize(
         "k, weights", [(1, None), (3, None), (3, (0.2, 1.5, 0.7))], ids=["k1", "k3", "k3_weighted"]
     )
-    def test_bit_identical_to_the_stage_composition(self, rng, k, weights, gains, use_residual):
+    def test_within_rounding_of_the_stage_composition(self, rng, k, weights, gains, use_residual):
         truth = synth_stems(rng, seconds=0.2)
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 10.0, seed=s).stems() for s in range(k)]
         options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
-        expected = _composed_front_end(mix, sets, gains, weights, use_residual)
         out = pipeline._front_end(mix, sets, gains, options)
-        assert np.array_equal(out, expected)
-        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert_within_rounding(out, _composed_front_end(mix, sets, gains, weights, use_residual))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("use_residual", [True, False], ids=["residual", "no_residual"])
@@ -227,17 +270,36 @@ class TestFrontEnd:
     def test_chunk_edges(self, rng, n_frames, k, weights, gains, use_residual, order):
         mix, sets = random_stem_sets(rng, n_frames, k, order)
         options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
-        expected = _composed_front_end(mix, sets, gains, weights, use_residual)
         out = pipeline._front_end(mix, sets, gains, options)
+        expected = whole_song_front_end(mix, sets, gains, weights, use_residual)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert_within_rounding(out, _composed_front_end(mix, sets, gains, weights, use_residual))
 
-    def test_overflowing_weights_name_the_track(self):
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "gains", [GainSpec(3.0, MUTE, -4.5, 1.25), GainSpec(-7.0, 2.5, 0.5, -3.0)],
+        ids=["mixed_mute", "mixed"],
+    )
+    def test_residual_ablation_gap_with_perfect_stems(self, rng, k, gains):
+        # repair rounds in other places than the plain remix, so at gains
+        # other than 0 dB the two differ by rounding only
+        truth = synth_stems(rng, seconds=0.2)
+        mix = exact_mix(truth)
+        on = pipeline._front_end(mix, [truth] * k, gains, EnhanceOptions())
+        off = pipeline._front_end(mix, [truth] * k, gains, EnhanceOptions(use_residual=False))
+        assert_within_rounding(on, off)
+
+    def test_overflowing_weights_are_normalized_first(self, rng):
+        # 1e308 * 1.9 overflows, but each weight over their sum does not
         loud = make_buffer(np.full((2, 100), 1.9))
-        stems = StemSet(loud, loud, loud, loud)
-        options = EnhanceOptions(ensemble_weights=(1e308, 1e307))
-        with pytest.raises(ValueError, match=r"\[1e\+308, 1e\+307\] overflow .* vocals track"):
-            pipeline._front_end(loud, [stems, stems], UNIT_GAINS, options)
+        mix, (quiet,) = random_stem_sets(rng, 100, 1)
+        sets = [StemSet(loud, loud, loud, loud), quiet]
+        weights = (1e308, 1e307)
+        out = pipeline._front_end(mix, sets, UNIT_GAINS, EnhanceOptions(ensemble_weights=weights))
+        normalized = tuple(np.divide(weights, np.sum(weights)))
+        assert np.all(np.isfinite(out))
+        assert_within_rounding(out, _composed_front_end(mix, sets, UNIT_GAINS, normalized, True))
 
 
 def _composed_chain(mix, sets, gains, listener, options):
@@ -449,7 +511,7 @@ class TestEnhance:
         def front_end_ran(*args, **kwargs):
             raise AssertionError("the ensemble ran on a mono mix")
 
-        monkeypatch.setattr(pipeline, "_averaged_chunks", front_end_ran)
+        monkeypatch.setattr(pipeline, "_weighted_sum", front_end_ran)
         stems = synth_stems(rng, seconds=0.5, channels=1)
         with pytest.raises(ValueError, match="stereo"):
             enhance(exact_mix(stems), [stems], UNIT_GAINS, ZERO_LISTENER)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from hearmix import (
     provider_from_spec,
     salient_segments,
     sdr,
+    write_wav,
 )
 from hearmix import stems as stems_module
 from hearmix.stems import _CHUNK_FRAMES, TRACK_NAMES
@@ -439,6 +441,22 @@ class TestProviders:
         (tmp_path / "stems" / "bass.wav").unlink()
         with pytest.raises(FileNotFoundError, match="bass"):
             DirectoryStemProvider(tmp_path / "stems").stems()
+
+    @pytest.mark.parametrize(
+        "bass, message",
+        [
+            (lambda b: b.with_samples(np.pad(b.samples, ((0, 0), (0, 1)))),
+             "mixed lengths: 100 vs 101 frames"),
+            (lambda b: AudioBuffer(b.samples, 48000), "mixed sample rates: 44100 vs 48000"),
+        ],
+        ids=["length", "rate"],
+    )
+    def test_directory_of_disagreeing_files_names_the_folder(self, rng, tmp_path, bass, message):
+        stems = _stems_from_arrays(**{name: rng.normal(0, 0.1, (2, 100)) for name in TRACK_NAMES})
+        folder = write_stems_dir(stems, tmp_path / "sep_2")
+        write_wav(bass(stems.bass), folder / "bass.wav")
+        with pytest.raises(AlignmentError, match=f"^{re.escape(str(folder))}: stems have {message}"):
+            DirectoryStemProvider(folder).stems()
 
     def test_noisy_oracle_is_seeded(self, rng):
         stems = synth_stems(rng, seconds=0.05)
