@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter, sosfilt
 
-from .audio import _CHUNK_FRAMES, AudioBuffer, _chunks
+from .audio import _CHUNK_FRAMES, AudioBuffer, _chunks, _song_span
 
 CLIP_TRIGGER_COUNT = 25_000
 
@@ -233,9 +233,12 @@ def should_compress(report: ClipReport) -> bool:
     return max(report.per_channel) >= CLIP_TRIGGER_COUNT
 
 
-def _peak_envelope_db(samples: np.ndarray, release_log: float) -> np.ndarray:
-    """Peak detector ``y = max(x, alpha*y)`` in dB over the frame levels
-    of (channels, frames) samples, in one new frame-sized array.
+def _peak_envelope_db(
+    samples: np.ndarray, release_log: float, held: float, out: np.ndarray
+) -> float:
+    """Peak detector ``y = max(x, alpha*y)`` in dB over the frame levels of
+    one span of (channels, frames) samples, written into ``out``, from the
+    level ``held`` of the frame before the span; returns the span's last.
 
     The level ``x`` is the peak across channels in dB, floored at -240 dB.
     ``release_log`` is ``log(alpha)``. In dB the detector is
@@ -249,71 +252,62 @@ def _peak_envelope_db(samples: np.ndarray, release_log: float) -> np.ndarray:
     sustained tone settles onto the static curve instead of pumping within
     each cycle.
     """
-    n_frames = samples.shape[1]
-    envelope = np.empty(n_frames)
-    for frames in _chunks(n_frames):
-        peak = envelope[frames]
-        np.abs(samples[0, frames], out=peak)
-        for channel in samples[1:]:
-            np.maximum(peak, np.abs(channel[frames]), out=peak)
-    np.maximum(envelope, 1e-12, out=envelope)
-    np.log10(envelope, out=envelope)
-    envelope *= 20.0
-    decay_db = -20.0 * math.log10(math.e) * release_log
-    if n_frames:
-        # once one sample's decay spans the level's whole range no earlier
-        # frame can win the max, so the cap changes nothing but keeps the
-        # ramp, and its rounding, small for very short releases
-        decay_db = min(decay_db, float(np.ptp(envelope)))
-    # the envelope is written over the level a chunk at a time, keeping
-    # that chunk's level for the j == i term
-    ramp = np.arange(min(_CHUNK_FRAMES, n_frames)) * decay_db
-    level = np.empty_like(ramp)
-    held = -np.inf
-    for frames in _chunks(n_frames):
-        chunk = envelope[frames]
-        width = chunk.size
-        np.copyto(level[:width], chunk)
-        chunk += ramp[:width]
+    level = np.empty_like(out)
+    np.abs(samples[0], out=level)
+    for channel in samples[1:]:
+        np.abs(channel, out=out)
+        np.maximum(level, out, out=level)
+    np.maximum(level, 1e-12, out=level)
+    np.log10(level, out=level)
+    level *= 20.0
+    # once one sample's decay spans the range of the span's levels and the
+    # held level no earlier frame can win the max, so the cap changes
+    # nothing but keeps the ramp, and its rounding, small for very short releases
+    span_range = float(level.max(initial=held) - level.min(initial=held))
+    decay_db = min(-20.0 * math.log10(math.e) * release_log, span_range)
+    ramp = np.arange(min(_CHUNK_FRAMES, out.size)) * decay_db
+    for frames in _chunks(out.size):
+        chunk, width = out[frames], frames.stop - frames.start
+        np.add(level[frames], ramp[:width], out=chunk)
         chunk[0] = max(chunk[0], held - decay_db)
         np.maximum.accumulate(chunk, out=chunk)
         chunk -= ramp[:width]
         # the j == i term exactly, which adding and removing the ramp can round
-        np.maximum(chunk, level[:width], out=chunk)
-        held = chunk[-1]
-    return envelope
+        np.maximum(chunk, level[frames], out=chunk)
+        held = float(chunk[-1])
+    return held
 
 
-def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float) -> np.ndarray:
-    """One-pole smoothing of the gain trajectory, switching attack/release.
+def _smooth_gain_db(
+    target_db: np.ndarray, attack_log: float, release_log: float, state: float
+) -> float:
+    """One-pole smoothing of the gain trajectory in place, switching
+    attack/release, from the smoothed gain ``state`` of the frame before;
+    returns the last frame's.
 
     ``y[i] = a[i]*y[i-1] + (1 - a[i])*t[i]``, where ``a[i]`` is the attack
     coefficient ``exp(attack_log)`` when ``t[i] < y[i-1]`` and the release
-    one ``exp(release_log)`` otherwise.
-    Equal coefficients leave no choice: one ``lfilter`` call over the whole
-    signal, into a new array. Otherwise computed in place, block by block,
-    as a fixed point over the choices:
-    start from the choices the carried state implies, solve the now linear
-    recurrence (``_solve_block``), re-derive every choice from the solution
-    and solve again until the choices are self-consistent, which keeps the
-    whole block. A solution is exact up to the first choice it contradicts,
-    so a block whose choices have not settled after ``_MAX_SOLVES`` solves
-    keeps that prefix, which is at least one frame since the first choice
-    depends only on the carried state, and the next block starts after it.
+    one ``exp(release_log)`` otherwise. Equal coefficients leave no choice:
+    one ``lfilter`` call, whose ``zi = a*state`` continues the recursion
+    exactly. Otherwise computed block by block, as a fixed point over the
+    choices: start from the choices the carried state implies, solve the
+    now linear recurrence (``_solve_block``), re-derive every choice from
+    the solution and solve again until the choices are self-consistent,
+    which keeps the whole block. A solution is exact up to the first choice
+    it contradicts, so a block whose choices have not settled after
+    ``_MAX_SOLVES`` solves keeps that prefix, which is at least one frame
+    since the first choice depends only on the carried state, and the next
+    block starts after it.
     """
     # indexed by the attack choice: 0 release, 1 attack
     alpha = np.array([math.exp(release_log), math.exp(attack_log)])
     if alpha[0] == alpha[1]:  # no choice to make: one linear recurrence
         a = alpha[0]
-        return lfilter([1.0 - a], [1.0, -a], target_db, zi=[0.0])[0]
+        target_db[:] = lfilter([1.0 - a], [1.0, -a], target_db, zi=[a * state])[0]
+        return float(target_db[-1])
     log_alpha = np.maximum([release_log, attack_log], -_MAX_BLOCK_DECAY)
     # P falls by at most exp(-_MAX_BLOCK_DECAY) over a block, so 1/P stays finite
-    decay = -float(log_alpha.min())
-    block = _SOLVE_BLOCK
-    if decay * _SOLVE_BLOCK > _MAX_BLOCK_DECAY:
-        block = max(1, int(_MAX_BLOCK_DECAY / decay))
-
-    state = 0.0
+    block = min(_SOLVE_BLOCK, int(_MAX_BLOCK_DECAY / -float(log_alpha.min())))
     start = 0
     while start < target_db.size:
         target = target_db[start : start + block]
@@ -331,7 +325,7 @@ def _smooth_gain_db(target_db: np.ndarray, attack_log: float, release_log: float
         state = float(smoothed[keep - 1])
         target[:keep] = smoothed[:keep]
         start += keep
-    return target_db
+    return state
 
 
 def _solve_block(
@@ -372,29 +366,32 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     one-pole attack/release and applied identically to every channel,
     followed by the safety clip.
     """
-    if params is None:
-        params = CompressorParams()
-    out = buffer.samples * _compressor_gain(buffer.samples, buffer.sample_rate, params)
-    np.clip(out, -1.0, 1.0, out=out)
+    out = buffer.samples.copy(order="K")
+    _compress_in_place(out, buffer.sample_rate, params or CompressorParams())
     return buffer.with_samples(out)
 
 
-def _compressor_gain(
-    samples: np.ndarray, sample_rate: int, params: CompressorParams
-) -> np.ndarray:
-    """The compressor's linear gain for each frame of (channels, frames) samples."""
+def _compress_in_place(samples: np.ndarray, sample_rate: int, params: CompressorParams) -> None:
+    """``compress`` written over (channels, frames) samples in one pass of
+    ``_song_span`` spans. A span's detector, gain computer, smoother and
+    ``exp`` run in one span of scratch, whose gain then multiplies and clips
+    the span; the detector's held level and the smoother's state carry on.
+    """
     attack_log = -1.0 / (sample_rate * params.attack_ms / 1000.0)
     release_log = -1.0 / (sample_rate * params.release_ms / 1000.0)
-
-    # one frame-sized array beside the signal: the detector's envelope,
-    # then the gain computer's target, the smoothed gain in dB and the
-    # linear gain are each written over it
-    over_db = _peak_envelope_db(samples, release_log)
-    over_db -= params.threshold_db
-    np.clip(over_db, 0.0, _MAX_OVER_DB, out=over_db)
-    over_db *= 1.0 / params.ratio - 1.0
-    gain = _smooth_gain_db(over_db, attack_log, release_log)
-    # 10**(g/20) as exp(g*ln(10)/20)
-    gain *= math.log(10.0) / 20.0
-    np.exp(gain, out=gain)
-    return gain
+    n_frames = samples.shape[1]
+    span = _song_span(n_frames)
+    scratch = np.empty(min(span, n_frames))
+    held, state = -240.0, 0.0  # the loops' zero state: the level floor, 0 dB of gain
+    for frames in _chunks(n_frames, span):
+        gain, block = scratch[: frames.stop - frames.start], samples[:, frames]
+        held = _peak_envelope_db(block, release_log, held, gain)
+        gain -= params.threshold_db
+        np.clip(gain, 0.0, _MAX_OVER_DB, out=gain)
+        gain *= 1.0 / params.ratio - 1.0
+        state = _smooth_gain_db(gain, attack_log, release_log, state)
+        # 10**(g/20) as exp(g*ln(10)/20)
+        gain *= math.log(10.0) / 20.0
+        np.exp(gain, out=gain)
+        block *= gain
+        np.clip(block, -1.0, 1.0, out=block)

@@ -34,7 +34,7 @@ from .levels import (
     CompressorParams,
     UndefinedLoudnessError,
     _block_powers,
-    _compressor_gain,
+    _compress_in_place,
     _gated_lufs,
     _normalizing_gain,
     count_clipped,
@@ -259,9 +259,14 @@ def _normalize_and_amplify(
 ) -> None:
     """Loudness normalization and NAL-R, written over ``samples``: the gain
     comes from one measurement of ``samples`` and scales each block of
-    input as NAL-R reads it."""
-    gain = _normalizing_gain(_block_powers(samples, sample_rate), target_lufs)
-    _nalr_in_place(samples, sample_rate, listener, n_taps, gain)
+    input as NAL-R reads it. K-weighted squares that overflow are measured
+    again after an exact power-of-two scale, which the gain takes up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _block_powers(samples, sample_rate)
+    if powers is not None and not np.isfinite(powers).all():
+        np.ldexp(samples, -np.frexp(max(samples.max(), -samples.min()))[1], out=samples)
+        powers = _block_powers(samples, sample_rate)
+    _nalr_in_place(samples, sample_rate, listener, n_taps, _normalizing_gain(powers, target_lufs))
 
 
 def enhance(
@@ -303,9 +308,7 @@ def enhance(
     report.stages.append("clip_check")
 
     if options.use_compressor_heuristic and should_compress(clip_report):
-        # compress(signal), applying the gain and the clip in place
-        samples *= _compressor_gain(samples, mix.sample_rate, options.compressor)
-        np.clip(samples, -1.0, 1.0, out=samples)
+        _compress_in_place(samples, mix.sample_rate, options.compressor)
         report.compressor_applied = True
         report.stages.append("compress")
 

@@ -19,8 +19,8 @@ from hearmix import (
     should_compress,
 )
 from hearmix import levels
-from hearmix.audio import _CHUNK_FRAMES
-from util import CHUNK_EDGES, assert_read_only, make_buffer, sine_buffer
+from hearmix.audio import _CHUNK_FRAMES, _chunks, _song_span
+from util import CHUNK_EDGES, SPAN_EDGES, assert_read_only, make_buffer, sine_buffer
 
 # the scan and running max may differ from the loops by float rounding only
 ORACLE_TOL_DB = 1e-9
@@ -453,6 +453,8 @@ ORACLE_INPUTS = {
     "long_runs": _long_runs,
     **{f"noise_{n}": _noise_of_length(n) for n in (0, 1, _B - 1, _B, _B + 1, 2 * _B + 17)},
 }
+# chunk and span ends, where the compressor carries its held level and state
+SPAN_INPUTS = {f"noise_{n}": _noise_of_length(n) for n in CHUNK_EDGES + SPAN_EDGES}
 ORACLE_PARAMS = {
     "default": CompressorParams(),
     # 0.1/1 ms: the choices switch within a few samples, and a block of
@@ -477,7 +479,7 @@ class TestCompressorOracles:
         release_log = -1.0 / (44100 * params.release_ms / 1000.0)
         level = np.max(np.abs(samples), axis=0)
         expected = 20.0 * np.log10(np.maximum(peak_detector_loop(level, math.exp(release_log)), 1e-12))
-        ours = levels._peak_envelope_db(samples, release_log)
+        ours = detector_in_spans(samples, release_log)
         np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
 
     @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
@@ -489,27 +491,33 @@ class TestCompressorOracles:
         # a target that dips and recovers at many rates, with ties at 0 dB
         target = np.minimum(0.0, -20.0 * np.abs(samples[0]) + 6.0)
         expected = smoother_loop(target, math.exp(attack_log), math.exp(release_log))
-        ours = levels._smooth_gain_db(target.copy(), attack_log, release_log)
+        ours, state = target.copy(), 0.0
+        for frames in _chunks(ours.size, _song_span(ours.size)):
+            state = levels._smooth_gain_db(ours[frames], attack_log, release_log, state)
         np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
 
-    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    @pytest.mark.parametrize(
+        "make", [*ORACLE_INPUTS.values(), *SPAN_INPUTS.values()],
+        ids=[*ORACLE_INPUTS.keys(), *(f"span_{name}" for name in SPAN_INPUTS)],
+    )
     @pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS.keys())
     def test_compress_matches_loops(self, rng, make, params):
         samples = make(rng)
         gain_db = compressor_loop(samples, 44100, params)
         expected = np.clip(samples * 10.0 ** (gain_db / 20.0), -1.0, 1.0)
-        compressed = compress(make_buffer(samples), params)
-        assert_read_only(compressed)
-        out = compressed.samples
-        # ORACLE_TOL_DB of gain is a relative amplitude error of 1.2e-10;
-        # the clip can only shrink a difference
-        assert np.all(np.abs(out - expected) <= 1.2e-10 * np.abs(samples))
+        for order in "CF":  # the spans are views of either memory order
+            compressed = compress(make_buffer(np.asarray(samples, order=order)), params)
+            assert_read_only(compressed)
+            out = compressed.samples
+            # ORACLE_TOL_DB of gain is a relative amplitude error of 1.2e-10;
+            # the clip can only shrink a difference
+            assert np.all(np.abs(out - expected) <= 1.2e-10 * np.abs(samples))
 
     def test_envelope_never_below_the_current_level(self, rng):
         # a frame just under the held state: the loop that decayed to
         # alpha*state whenever x <= state dropped below x here
         level = np.concatenate([[1.0, 1.0 - 1e-7], rng.uniform(0.01, 1.0, 20_000)])
-        ours = levels._peak_envelope_db(level[np.newaxis], -1.0 / (44100 * 0.1))
+        ours = detector_in_spans(level[np.newaxis], -1.0 / (44100 * 0.1))
         assert np.all(ours >= 20.0 * np.log10(level))
 
     @pytest.mark.parametrize(
@@ -543,8 +551,18 @@ def _count_solves(monkeypatch, samples, params) -> list[int]:
         return solve(target, *args)
 
     monkeypatch.setattr(levels, "_solve_block", counting_solve)
-    levels._compressor_gain(samples, 44100, params)
+    levels._compress_in_place(samples.copy(), 44100, params)
     return solved
+
+
+def detector_in_spans(samples: np.ndarray, release_log: float) -> np.ndarray:
+    """The detector's envelope in dB, walked in ``_song_span`` spans with
+    the held level carried from span to span, as the compressor walks it."""
+    n_frames = samples.shape[1]
+    envelope, held = np.empty(n_frames), -240.0
+    for frames in _chunks(n_frames, _song_span(n_frames)):
+        held = levels._peak_envelope_db(samples[:, frames], release_log, held, envelope[frames])
+    return envelope
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)
@@ -557,5 +575,5 @@ def test_chunked_detector_matches_the_loop(rng, n, release_ms):
     release_log = -1.0 / (44100 * release_ms / 1000.0)
     level = np.max(np.abs(samples), axis=0)
     expected = 20.0 * np.log10(np.maximum(peak_detector_loop(level, math.exp(release_log)), 1e-12))
-    ours = levels._peak_envelope_db(samples, release_log)
+    ours = detector_in_spans(samples, release_log)
     np.testing.assert_allclose(ours, expected, rtol=0.0, atol=ORACLE_TOL_DB)
