@@ -455,34 +455,26 @@ def write_wav(buffer: AudioBuffer, path, fmt: WavFormat | None = None) -> None:
     if fmt.channels != buffer.channels:
         raise ValueError(f"format channels {fmt.channels} != buffer channels {buffer.channels}")
 
-    interleaved = np.ascontiguousarray(buffer.samples.T)
-    if fmt.bit_depth == PCM_16:
-        codes = np.clip(np.rint(interleaved * 2.0**15), -(2**15), 2**15 - 1)
-        payload = codes.astype("<i2").tobytes()
-        tag, bits = _WAVE_FORMAT_PCM, 16
-    elif fmt.bit_depth == PCM_24:
-        codes = np.clip(np.rint(interleaved * 2.0**23), -(2**23), 2**23 - 1)
-        as32 = codes.astype("<i4").tobytes()
-        payload = np.frombuffer(as32, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
-        tag, bits = _WAVE_FORMAT_PCM, 24
-    else:
-        payload = interleaved.astype("<f4").tobytes()
+    if fmt.bit_depth == FLOAT_32:
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
+        payload = np.asarray(buffer.samples.T, dtype="<f4", order="C")
+    else:
+        tag, bits = _WAVE_FORMAT_PCM, 16 if fmt.bit_depth == PCM_16 else 24
+        # one interleaved copy at full scale, rounded and saturated in place; the
+        # low bits // 8 bytes of each little-endian int32 are the same code
+        codes = np.multiply(buffer.samples.T, 2.0 ** (bits - 1), order="C")
+        np.clip(np.rint(codes, out=codes), -(2.0 ** (bits - 1)), 2.0 ** (bits - 1) - 1, out=codes)
+        codes = codes.astype("<i4").view(np.uint8).reshape(-1, 4)
+        payload = np.ascontiguousarray(codes[:, : bits // 8])
+    payload = memoryview(payload).cast("B")  # written as it is, never copied to bytes
 
-    bytes_per_sample = bits // 8
-    block_align = bytes_per_sample * fmt.channels
-    fmt_chunk = struct.pack(
-        "<4sIHHIIHH",
-        b"fmt ",
-        16,
-        tag,
-        fmt.channels,
-        fmt.sample_rate,
-        fmt.sample_rate * block_align,
-        block_align,
-        bits,
-    )
-    chunks = [fmt_chunk]
+    block_align = bits // 8 * fmt.channels
+    chunks = [
+        struct.pack(
+            "<4sIHHIIHH", b"fmt ", 16, tag, fmt.channels, fmt.sample_rate,
+            fmt.sample_rate * block_align, block_align, bits,
+        )
+    ]
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         chunks.append(struct.pack("<4sII", b"fact", 4, buffer.n_frames))
     chunks += [struct.pack("<4sI", b"data", len(payload)), payload]
@@ -493,7 +485,7 @@ def write_wav(buffer: AudioBuffer, path, fmt: WavFormat | None = None) -> None:
     _write_atomically(Path(path), [struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"), *chunks])
 
 
-def _write_atomically(path: Path, chunks: list[bytes]) -> None:
+def _write_atomically(path: Path, chunks: list[bytes | memoryview]) -> None:
     """Write the chunks to a fresh file in the target folder, then rename it
     onto ``path``: readers see the old file or the whole new one, never a
     part. On any error the temporary file is removed and ``path`` is left

@@ -32,6 +32,8 @@ _MAX_SOLVES = 8
 # ever capped, and the gain 10**(-1e6/20) is already 0. The cap keeps the
 # solve's terms, divided by a decay of down to exp(-600), finite.
 _MAX_OVER_DB = 1e6
+_LEVEL_FLOOR = 1e-12  # the detector's lowest frame level, and its held level at the start
+_LEVEL_FLOOR_DB = 20.0 * math.log10(_LEVEL_FLOOR)  # exactly -240.0
 
 _BLOCK_SECONDS = 0.4
 _HOP_SECONDS = 0.1
@@ -240,7 +242,7 @@ def _peak_envelope_db(
     one span of (channels, frames) samples, written into ``out``, from the
     level ``held`` of the frame before the span; returns the span's last.
 
-    The level ``x`` is the peak across channels in dB, floored at -240 dB.
+    The level ``x`` is the peak across channels in dB, floored at ``_LEVEL_FLOOR_DB``.
     ``release_log`` is ``log(alpha)``. In dB the detector is
     ``y[i] = max(x[i], y[i-1] - r)``, each earlier frame decayed by
     ``r = -20*log10(alpha)`` dB per sample of age. Within a chunk starting
@@ -257,7 +259,7 @@ def _peak_envelope_db(
     for channel in samples[1:]:
         np.abs(channel, out=out)
         np.maximum(level, out, out=level)
-    np.maximum(level, 1e-12, out=level)
+    np.maximum(level, _LEVEL_FLOOR, out=level)
     np.log10(level, out=level)
     level *= 20.0
     # once one sample's decay spans the range of the span's levels and the
@@ -382,7 +384,7 @@ def _compress_in_place(samples: np.ndarray, sample_rate: int, params: Compressor
     n_frames = samples.shape[1]
     span = _song_span(n_frames)
     scratch = np.empty(min(span, n_frames))
-    held, state = -240.0, 0.0  # the loops' zero state: the level floor, 0 dB of gain
+    held, state = _LEVEL_FLOOR_DB, 0.0  # the loops' zero state: the level floor, 0 dB of gain
     for frames in _chunks(n_frames, span):
         gain, block = scratch[: frames.stop - frames.start], samples[:, frames]
         held = _peak_envelope_db(block, release_log, held, gain)

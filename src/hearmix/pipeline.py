@@ -155,7 +155,8 @@ def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
 def _remix(stems: StemSet, gains: GainSpec, out: np.ndarray | None = None) -> np.ndarray:
     """``remix``'s samples, written over ``out`` when it is given."""
     scales = _linear_gains(gains)
-    return _weighted_sum([(scales[name], stems.track(name).samples) for name in TRACK_NAMES], out)
+    terms = [(scales[name], stems.track(name).samples) for name in TRACK_NAMES]
+    return _weighted_sum(terms, gains, out)
 
 
 def _linear_gains(gains: GainSpec) -> dict[str, float]:
@@ -163,10 +164,11 @@ def _linear_gains(gains: GainSpec) -> dict[str, float]:
 
 
 def _weighted_sum(
-    terms: Sequence[tuple[float, np.ndarray]], out: np.ndarray | None = None
+    terms: Sequence[tuple[float, np.ndarray]], gains: GainSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
-    in their order, into ``out`` (a new array when it is not given).
+    in their order, into ``out`` (a new array when it is not given); an
+    overflow is a ValueError naming ``gains``, the remix the terms make.
 
     The song is walked in spans of ``_song_span`` frames. In each span the
     first product is written into ``out`` and each later one is added
@@ -179,12 +181,16 @@ def _weighted_sum(
     n_frames = out.shape[1]
     span = _song_span(n_frames)
     scratch = _chunk_scratch(out, span)
-    for frames in _chunks(n_frames, span):
-        acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
-        np.multiply(first[:, frames], first_scale, out=acc)
-        for scale, x in rest:
-            np.multiply(x[:, frames], scale, out=product)
-            acc += product
+    with np.errstate(over="raise"):
+        try:
+            for frames in _chunks(n_frames, span):
+                acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
+                np.multiply(first[:, frames], first_scale, out=acc)
+                for scale, x in rest:
+                    np.multiply(x[:, frames], scale, out=product)
+                    acc += product
+        except FloatingPointError:
+            raise ValueError(f"the remix at gains {gains.as_dict()} overflows float64") from None
     return out
 
 
@@ -227,30 +233,30 @@ def _front_end(
         terms += [(scale * (wk / total), s.track(name).samples) for wk, s in zip(w, stem_sets)]
     if options.use_residual:
         terms.append((half_other, mix.samples))
-    return _weighted_sum(terms)
+    return _weighted_sum(terms, gains)
 
 
+@dataclass(frozen=True, eq=False)
 class _SharedMix(AudioBuffer):
-    """A mixture that the batch jobs naming it share. The first job to need
-    its integrated loudness measures it for all of them."""
+    """A mixture that batch jobs share, with its loudness measured at its load."""
 
-    def __init__(self, mix: AudioBuffer):
-        super().__init__(mix.samples, mix.sample_rate)
-        object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_lufs", [])  # empty until measured
+    lufs: float | None
 
-    def lufs(self) -> float | None:
-        with self._lock:
-            # a measurement that raises keeps nothing, so each job raises its own
-            if not self._lufs:
-                self._lufs.append(integrated_loudness(self).value)
-            return self._lufs[0]
+
+def _load_mix(path: Path) -> _SharedMix:
+    """Decode and measure a mixture; a rate the meter refuses names the file."""
+    mix = read_wav(path)
+    try:
+        lufs = integrated_loudness(mix).value
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _SharedMix(mix.samples, mix.sample_rate, lufs)
 
 
 def _mix_lufs(mix: AudioBuffer) -> float | None:
-    """The mixture's integrated loudness, measured once per shared mix."""
+    """The mixture's integrated loudness; a shared mix's was measured at its load."""
     if isinstance(mix, _SharedMix):
-        return mix.lufs()
+        return mix.lufs
     return integrated_loudness(mix).value
 
 
@@ -421,9 +427,9 @@ def _reject_output_collisions(path: Path, jobs: Sequence[BatchJob]) -> None:
 
 def _song_loads(job: BatchJob, base_dir: Path) -> Iterator[tuple[str, Any]]:
     """A key and a loader for each file set of a job, in the order they are
-    loaded: the mixture ("mix"), then each stem spec (its sorted JSON).
-    Buffers are read-only, so jobs can share what a loader returns."""
-    yield "mix", lambda: _SharedMix(read_wav(job.mix_path))
+    loaded: the measured mixture ("mix"), then each stem spec (its sorted
+    JSON). Buffers are read-only, so jobs can share what a loader returns."""
+    yield "mix", lambda: _load_mix(job.mix_path)
     for spec in job.stem_specs:
         yield json.dumps(spec, sort_keys=True), lambda spec=spec: (
             provider_from_spec(spec, base_dir).stems()

@@ -601,6 +601,62 @@ class TestWriteWav:
         with pytest.raises(ValueError):
             WavFormat("pcm8", 44100, 2)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("depth", [PCM_16, PCM_24, FLOAT_32])
+    def test_matches_the_three_branch_encoder(self, tmp_path, rng, depth, order):
+        path = tmp_path / "x.wav"
+        for channels in (1, 2, 4):
+            for frames in (1, 2, 3, 1001):
+                samples = rng.uniform(-1.2, 1.2, (channels, frames))
+                edges = _EDGE_SAMPLES[: samples.size]
+                samples.flat[: edges.size] = edges
+                buf = make_buffer(np.array(samples, order=order))
+                write_wav(buf, path, _fmt(buf, depth))
+                assert path.read_bytes() == _three_branch_wav(buf, depth), (channels, frames)
+
+    @pytest.mark.parametrize(("depth", "bound"), [(FLOAT_32, 0.6), (PCM_16, 2.0), (PCM_24, 2.0)])
+    def test_converts_once(self, tmp_path, rng, depth, bound):
+        # float32: one interleaved float32 copy (0.5 buffers); PCM: one
+        # float64 copy at full scale, then its int32 codes and their low bytes
+        buf = make_buffer(rng.uniform(-1.0, 1.0, (2, 3 * 44100)))
+        tracemalloc.start()
+        try:
+            write_wav(buf, tmp_path / "x.wav", _fmt(buf, depth))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * buf.samples.nbytes
+
+
+# full scale, signed zero, and values half a code from a PCM-16 or PCM-24 step
+_EDGE_SAMPLES = np.array(
+    [1.0, -1.0, -0.0, 0.5 / 2**15, -0.5 / 2**15, 1.5 / 2**15, 1.0 - 0.5 / 2**15,
+     0.5 / 2**23, -2.5 / 2**23, 1.0 - 0.5 / 2**23, -1.0 - 0.5 / 2**23, 1.5]
+)
+
+
+def _three_branch_wav(buffer, depth) -> bytes:
+    """The bytes of a WAV file as an independent encoder writes it: one
+    branch per depth, each from an interleaved float64 copy."""
+    interleaved = np.ascontiguousarray(buffer.samples.T)
+    if depth == PCM_16:
+        codes = np.clip(np.rint(interleaved * 2.0**15), -(2**15), 2**15 - 1)
+        payload = codes.astype("<i2").tobytes()
+        tag, bits = PCM, 16
+    elif depth == PCM_24:
+        codes = np.clip(np.rint(interleaved * 2.0**23), -(2**23), 2**23 - 1)
+        as32 = codes.astype("<i4").tobytes()
+        payload = np.frombuffer(as32, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        tag, bits = PCM, 24
+    else:
+        payload = interleaved.astype("<f4").tobytes()
+        tag, bits = IEEE_FLOAT, 32
+    body = _fmt_chunk(tag, buffer.channels, bits, rate=buffer.sample_rate)
+    if tag == IEEE_FLOAT:
+        body += _chunk(b"fact", struct.pack("<I", buffer.n_frames))
+    body += _chunk(b"data", payload)
+    return struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body
+
 
 class _DiskFullAfterFirstWrite:
     """A file whose second write fails, as on a disk that fills up midway."""

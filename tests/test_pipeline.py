@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -412,6 +413,22 @@ class TestEnhance:
         reference = build_reference(truth, loud, listener).samples
         expected = build_reference(truth, quiet, listener).samples
         np.testing.assert_allclose(reference, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "gains", [GainSpec(6165.0, 0.0, 0.0, 0.0), GainSpec(6160.0, 6160.0, 0.0, 0.0)],
+        ids=["vocals_6165", "vocals_drums_6160"],
+    )
+    def test_a_front_end_that_overflows_names_the_gains(self, gains):
+        # stems beyond full scale at gains near the largest finite factor:
+        # a product (6165 dB) or a sum (6160 dB twice) leaves float64, which
+        # is a ValueError, not a numpy warning (an error in this suite)
+        truth = synth_stems(np.random.default_rng(0), seconds=0.5, peak=1.9)
+        mix, listener = exact_mix(truth), flat_listener(40.0)
+        message = re.escape(f"the remix at gains {gains.as_dict()} overflows float64")
+        with pytest.raises(ValueError, match=message):
+            enhance(mix, [truth], gains, listener)
+        with pytest.raises(ValueError, match=message):
+            build_reference(truth, gains, listener)
 
     def test_residual_ablation_is_noop_for_perfect_stems(self, rng):
         stems = synth_stems(rng, seconds=0.5)
@@ -974,8 +991,8 @@ class TestSharedLoading:
                 assert report.error is None
                 assert job.output_path.exists()
 
-    BREAKAGES = ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "truncated_stem",
-                 "missing_stem_file", "missing_stem_folder", "bad_listener"]
+    BREAKAGES = ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "low_rate_mix",
+                 "truncated_stem", "missing_stem_file", "missing_stem_folder", "bad_listener"]
 
     def _break(self, tmp_path, rng, breakage):
         """Damage the inputs of song0's jobs, or of listener 1's."""
@@ -987,6 +1004,8 @@ class TestSharedLoading:
             (tmp_path / "s0l1.json").write_text("{}")
         if breakage == "mono_mix":
             write_wav(make_buffer(rng.normal(0, 0.1, (1, n_frames))), song / "mix.wav")
+        if breakage == "low_rate_mix":  # below the loudness meter's 8 kHz
+            write_wav(make_buffer(rng.normal(0, 0.1, (2, n_frames)), 4000), song / "mix.wav")
         if breakage == "truncated_stem":
             whole = (song / "sep1" / "bass.wav").read_bytes()
             (song / "sep1" / "bass.wav").write_bytes(whole[:-100])
@@ -1030,6 +1049,27 @@ class TestSharedLoading:
             )
             assert rc == EXIT_FAILURE
             assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_a_low_rate_mix_fails_at_its_load(self, tmp_path, rng, monkeypatch):
+        # its loudness is measured as it loads, so its jobs fail naming it
+        # before any stem of the song is decoded
+        manifest = self._manifest(tmp_path, rng)
+        self._break(tmp_path, rng, "low_rate_mix")
+        mix = tmp_path / "song0" / "mix.wav"
+        decoded = []
+
+        def counting(path):
+            decoded.append(path)
+            return read_wav(path)
+
+        monkeypatch.setattr(stems_module, "read_wav", counting)
+        reports = run_batch(manifest, workers=2)
+        for job, report in zip(manifest.jobs, reports):
+            if job.mix_path == mix:
+                assert report.error.startswith(f"ValueError: {mix}: loudness needs sample_rate")
+            else:
+                assert report.error is None
+        assert decoded and not any(path.is_relative_to(mix.parent) for path in decoded)
 
     def test_a_stem_folder_named_twice_is_decoded_once(self, tmp_path, rng, monkeypatch):
         manifest = self._manifest(tmp_path, rng, songs=1, listeners=1, k=1)
