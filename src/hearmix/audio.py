@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -199,6 +199,44 @@ def _song_span(n_frames: int) -> int:
     song (over 80,000 frames) were not.
     """
     return min(4 * _CHUNK_FRAMES, max(_CHUNK_FRAMES, n_frames // 16))
+
+
+def _weighted_sum(
+    terms: Sequence[tuple[float, np.ndarray]], overflow: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
+    in their order, into ``out`` (a new array when it is not given); an
+    overflow is a ValueError with the message ``overflow``.
+
+    The song is walked in spans of ``_song_span`` frames. In each span the
+    first product is written into ``out`` and each later one is added
+    through one span of scratch, so beside the output only that span is
+    alive, and the result is the same bits whatever the span. A term of
+    scale 1.0 is added without multiplying, since ``x * 1.0`` is ``x``.
+    """
+    (first_scale, first), *rest = terms
+    if out is None:
+        out = np.empty_like(first)
+    n_frames = out.shape[1]
+    span = _song_span(n_frames)
+    scratch = _chunk_scratch(out, span)
+    with np.errstate(over="raise"):
+        try:
+            for frames in _chunks(n_frames, span):
+                acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
+                if first_scale == 1.0:
+                    acc[...] = first[:, frames]
+                else:
+                    np.multiply(first[:, frames], first_scale, out=acc)
+                for scale, x in rest:
+                    if scale == 1.0:
+                        acc += x[:, frames]
+                    else:
+                        np.multiply(x[:, frames], scale, out=product)
+                        acc += product
+        except FloatingPointError:
+            raise ValueError(overflow) from None
+    return out
 
 
 def _convolve_into(

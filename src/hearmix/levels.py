@@ -118,12 +118,12 @@ def _k_weighting_sos(sample_rate: int) -> np.ndarray:
     return np.array([shelf, highpass])
 
 
-def _block_powers(samples: np.ndarray, sample_rate: int) -> np.ndarray | None:
-    """K-weighted power of each 400 ms block of (channels, frames) samples,
-    summed over channels; None when the signal is shorter than one block.
+def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> np.ndarray | None:
+    """K-weighted power of each 400 ms block of (channels, frames) samples
+    times ``2**-exponent``, summed over channels; None when the signal is
+    shorter than one block.
 
-    The signal is filtered and squared in spans of 1/16 of its length (at
-    least one chunk, since each ``sosfilt`` call has a fixed set-up cost).
+    The signal is scaled, filtered and squared in ``_song_span`` spans.
     The filter's state and the running energy (the sum of the squares of
     every frame so far) carry from span to span, and the energy at each
     block edge is kept as it passes. ``sosfilt`` with a carried ``zi``
@@ -148,22 +148,35 @@ def _block_powers(samples: np.ndarray, sample_rate: int) -> np.ndarray | None:
     sos = _k_weighting_sos(sample_rate)
     zi = np.zeros((sos.shape[0], channels, 2))
     carried = np.zeros(channels)
-    span = max(_CHUNK_FRAMES, n_frames // 16)
-    for first in range(0, n_frames, span):
-        stop = min(first + span, n_frames)
+    for frames in _chunks(n_frames, _song_span(n_frames)):
+        x = samples[:, frames]
+        if exponent:
+            x = np.ldexp(x, -exponent)
         # the filtered span becomes its running energy in place
-        energy, zi = sosfilt(sos, samples[:, first:stop], axis=1, zi=zi)
+        energy, zi = sosfilt(sos, x, axis=1, zi=zi)
         np.multiply(energy, energy, out=energy)
         energy[:, 0] += carried
         np.cumsum(energy, axis=1, out=energy)
         carried = energy[:, -1].copy()
-        lo, hi = np.searchsorted(edges, (first, stop))
-        at_edges[:, lo:hi] = energy[:, edges[lo:hi] - first]
-        del energy  # before the next span's is made
+        lo, hi = np.searchsorted(edges, (frames.start, frames.stop))
+        at_edges[:, lo:hi] = energy[:, edges[lo:hi] - frames.start]
+        del x, energy  # before the next span's are made
     end = at_edges[:, np.searchsorted(edges, starts + block - 1)]
     before = at_edges[:, np.searchsorted(edges, starts - 1)]
     before[:, 0] = 0.0  # the energy before frame 0
     return (end - before).sum(axis=0) / block
+
+
+def _measure(samples: np.ndarray, sample_rate: int) -> tuple[np.ndarray | None, int]:
+    """The block powers of ``samples * 2**-e``, and ``e``: 0, unless the
+    K-weighted squares overflow float64; then the exponent that brings the
+    peak below 1, an exact scale that callers take back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _block_powers(samples, sample_rate)
+    if powers is None or np.isfinite(powers).all():
+        return powers, 0
+    exponent = int(np.frexp(max(samples.max(), -samples.min()))[1])
+    return _block_powers(samples, sample_rate, exponent), exponent
 
 
 def _gated_lufs(block_power: np.ndarray | None) -> float | None:
@@ -185,27 +198,40 @@ def _gated_lufs(block_power: np.ndarray | None) -> float | None:
 
 def integrated_loudness(buffer: AudioBuffer) -> LoudnessLufs:
     """Gated integrated loudness of a buffer in LUFS."""
-    return LoudnessLufs(_gated_lufs(_block_powers(buffer.samples, buffer.sample_rate)))
+    return LoudnessLufs(_integrated_lufs(buffer.samples, buffer.sample_rate))
+
+
+def _integrated_lufs(samples: np.ndarray, sample_rate: int) -> float | None:
+    """``integrated_loudness`` of (channels, frames) samples; None when undefined."""
+    powers, exponent = _measure(samples, sample_rate)
+    lufs = _gated_lufs(powers)
+    # the measured scale 2**-e taken back, 20*log10(2) dB per power of two
+    return None if lufs is None else lufs + 20.0 * math.log10(2.0) * exponent
 
 
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
     """Scale a buffer by one scalar so its loudness matches the target."""
-    gain = _normalizing_gain(_block_powers(buffer.samples, buffer.sample_rate), target_lufs)
-    return buffer.with_samples(buffer.samples * gain)
+    out = buffer.samples.copy(order="K")
+    out *= _normalizing_gain(out, buffer.sample_rate, target_lufs)
+    return buffer.with_samples(out)
 
 
-def _normalizing_gain(powers: np.ndarray | None, target_lufs: float) -> float:
-    """The amplitude factor that brings a signal with these block powers to
-    the target loudness.
+def _normalizing_gain(samples: np.ndarray, sample_rate: int, target_lufs: float) -> float:
+    """The amplitude factor that brings ``samples``, which the caller owns,
+    to the target loudness, after they are scaled in place by the exact
+    power of two of their measurement (``_measure``).
 
     The relative gate moves with the scale, but the -70 LUFS absolute gate
     does not, so a gain can keep or drop different blocks; the gain is
     therefore re-solved once on the scaled powers instead of filtering the
     scaled signal again.
     """
+    powers, exponent = _measure(samples, sample_rate)
     measured = _gated_lufs(powers)
     if measured is None:
         raise UndefinedLoudnessError("cannot normalize: input loudness is undefined")
+    if exponent:
+        np.ldexp(samples, -exponent, out=samples)
     gain_db = target_lufs - measured
     rescaled = _gated_lufs(powers * 10.0 ** (gain_db / 10.0))
     if rescaled is not None:

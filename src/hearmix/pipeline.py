@@ -18,11 +18,9 @@ import numpy as np
 
 from .audio import (
     AudioBuffer,
-    _chunk_scratch,
-    _chunks,
     _finite_number,
     _read_json,
-    _song_span,
+    _weighted_sum,
     db_to_linear,
     ensure_aligned,
     read_wav,
@@ -33,9 +31,8 @@ from .levels import (
     CLIP_TRIGGER_COUNT,
     CompressorParams,
     UndefinedLoudnessError,
-    _block_powers,
     _compress_in_place,
-    _gated_lufs,
+    _integrated_lufs,
     _normalizing_gain,
     count_clipped,
     integrated_loudness,
@@ -63,6 +60,7 @@ STAGE_ORDER = (
 )
 
 MUTE = float("-inf")
+_OVERFLOW = "the remix at gains {} overflows float64"
 
 
 @dataclass(frozen=True)
@@ -156,42 +154,11 @@ def _remix(stems: StemSet, gains: GainSpec, out: np.ndarray | None = None) -> np
     """``remix``'s samples, written over ``out`` when it is given."""
     scales = _linear_gains(gains)
     terms = [(scales[name], stems.track(name).samples) for name in TRACK_NAMES]
-    return _weighted_sum(terms, gains, out)
+    return _weighted_sum(terms, _OVERFLOW.format(gains.as_dict()), out)
 
 
 def _linear_gains(gains: GainSpec) -> dict[str, float]:
     return {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
-
-
-def _weighted_sum(
-    terms: Sequence[tuple[float, np.ndarray]], gains: GainSpec, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
-    in their order, into ``out`` (a new array when it is not given); an
-    overflow is a ValueError naming ``gains``, the remix the terms make.
-
-    The song is walked in spans of ``_song_span`` frames. In each span the
-    first product is written into ``out`` and each later one is added
-    through one span of scratch, so beside the output only that span is
-    alive, and the result is the same bits whatever the span.
-    """
-    (first_scale, first), *rest = terms
-    if out is None:
-        out = np.empty_like(first)
-    n_frames = out.shape[1]
-    span = _song_span(n_frames)
-    scratch = _chunk_scratch(out, span)
-    with np.errstate(over="raise"):
-        try:
-            for frames in _chunks(n_frames, span):
-                acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
-                np.multiply(first[:, frames], first_scale, out=acc)
-                for scale, x in rest:
-                    np.multiply(x[:, frames], scale, out=product)
-                    acc += product
-        except FloatingPointError:
-            raise ValueError(f"the remix at gains {gains.as_dict()} overflows float64") from None
-    return out
 
 
 def _require_stereo(signal: AudioBuffer, caller: str) -> None:
@@ -233,7 +200,7 @@ def _front_end(
         terms += [(scale * (wk / total), s.track(name).samples) for wk, s in zip(w, stem_sets)]
     if options.use_residual:
         terms.append((half_other, mix.samples))
-    return _weighted_sum(terms, gains)
+    return _weighted_sum(terms, _OVERFLOW.format(gains.as_dict()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,21 +225,6 @@ def _mix_lufs(mix: AudioBuffer) -> float | None:
     if isinstance(mix, _SharedMix):
         return mix.lufs
     return integrated_loudness(mix).value
-
-
-def _normalize_and_amplify(
-    samples: np.ndarray, sample_rate: int, target_lufs: float, listener: Listener, n_taps: int
-) -> None:
-    """Loudness normalization and NAL-R, written over ``samples``: the gain
-    comes from one measurement of ``samples`` and scales each block of
-    input as NAL-R reads it. K-weighted squares that overflow are measured
-    again after an exact power-of-two scale, which the gain takes up."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = _block_powers(samples, sample_rate)
-    if powers is not None and not np.isfinite(powers).all():
-        np.ldexp(samples, -np.frexp(max(samples.max(), -samples.min()))[1], out=samples)
-        powers = _block_powers(samples, sample_rate)
-    _nalr_in_place(samples, sample_rate, listener, n_taps, _normalizing_gain(powers, target_lufs))
 
 
 def enhance(
@@ -303,7 +255,8 @@ def enhance(
     # one song-sized array: the front end allocates it, and every later
     # stage measures or rewrites it in place
     samples = _front_end(mix, stem_sets, gains, options)
-    _normalize_and_amplify(samples, mix.sample_rate, target, listener, options.n_taps)
+    gain = _normalizing_gain(samples, mix.sample_rate, target)
+    _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps, gain)
     signal = mix.with_samples(samples)  # read-only: the compressor writes `samples`
     report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
     report.stages += ["remix", "normalize", "nalr"]
@@ -327,16 +280,17 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     Remix at the requested gains, normalize to the true mixture's loudness,
     and apply NAL-R with ``DEFAULT_NALR_TAPS`` taps. The reference chain
     never compresses. The true mixture, the tracks' plain sum (the remix at
-    0 dB, the same bits since x * 1.0 is x), is written into the output and
-    measured, then the remix overwrites it, so one song-sized array serves
-    both.
+    0 dB, whose unit terms are added unmultiplied), is written into the
+    output and measured, then the remix overwrites it, so one song-sized
+    array serves both.
     """
     _require_stereo(true_stems.vocals, "build_reference")
     rate = true_stems.sample_rate
     samples = _remix(true_stems, _UNIT_GAINS)
-    target = _loudness_target(_gated_lufs(_block_powers(samples, rate)))
+    target = _loudness_target(_integrated_lufs(samples, rate))
     _remix(true_stems, gains, samples)
-    _normalize_and_amplify(samples, rate, target, listener, DEFAULT_NALR_TAPS)
+    gain = _normalizing_gain(samples, rate, target)
+    _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS, gain)
     return true_stems.vocals.with_samples(samples)
 
 

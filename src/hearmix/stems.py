@@ -20,10 +20,10 @@ from .audio import (
     _CHUNK_FRAMES,
     AlignmentError,
     AudioBuffer,
-    _chunk_scratch,
     _chunks,
     _finite_number,
     _song_span,
+    _weighted_sum,
     ensure_aligned,
     read_wav,
 )
@@ -179,34 +179,16 @@ def ensemble_average(
     w, total = _ensemble_weights(stem_sets, weights)
     first = stem_sets[0]
     tracks = {name: np.empty_like(first.track(name).samples) for name in TRACK_NAMES}
-    span = _song_span(first.n_frames)
-    scratch = _chunk_scratch(first.vocals.samples, span)
-    for frames in _chunks(first.n_frames, span):
-        product = scratch[:, : frames.stop - frames.start]
+    overflow = f"ensemble weights {w.tolist()} overflow the weighted sum of the {{}} track"
+    for frames in _chunks(first.n_frames, _song_span(first.n_frames)):
         for name in TRACK_NAMES:
             mean = tracks[name][:, frames]
-            x0, *rest = (s.track(name).samples[:, frames] for s in stem_sets)
-            try:
-                with np.errstate(over="raise"):
-                    # 0 + w[0]*x[0] + w[1]*x[1] + ..., divided once below, keeps
-                    # equal-weight averages and one-hot selections exact. Adding
-                    # 0.0 to the first product is adding it to zeros (-0.0
-                    # becomes +0.0); a weight of exactly 1.0 is not multiplied
-                    if w[0] == 1.0:
-                        np.add(x0, 0.0, out=mean)
-                    else:
-                        np.multiply(x0, w[0], out=mean)
-                        mean += 0.0
-                    for weight, x in zip(w[1:], rest):
-                        if weight == 1.0:
-                            mean += x
-                        else:
-                            np.multiply(x, weight, out=product)
-                            mean += product
-            except FloatingPointError:
-                raise ValueError(
-                    f"ensemble weights {w.tolist()} overflow the weighted sum of the {name} track"
-                ) from None
+            terms = [(wk, s.track(name).samples[:, frames]) for wk, s in zip(w, stem_sets)]
+            # (w[0]*x[0] + w[1]*x[1] + ...) + 0.0, divided once, keeps
+            # equal-weight averages and one-hot selections exact; adding
+            # 0.0 makes a -0.0 sum +0.0, as summing onto zeros would
+            _weighted_sum(terms, overflow.format(name), mean)
+            mean += 0.0
             if total != 1.0:  # x / 1.0 is x
                 mean /= total
     return StemSet(**{name: first.vocals.with_samples(x) for name, x in tracks.items()})

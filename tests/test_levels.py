@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import bilinear, lfilter, sosfilt
 
 from hearmix import (
@@ -142,8 +144,9 @@ def concatenated_block_powers(buffer):
 # (rate, length) cases of the block powers. At 11025 Hz a block (4410
 # frames) is not four hops (4 x 1102). At 8 kHz a block is 3200 frames, so
 # every length from one chunk up holds blocks; from 16 chunks up the
-# signal is walked in spans of n // 16 frames, which past 16 chunks are
-# not whole chunks.
+# signal is walked in ``_song_span`` spans of n // 16 frames, capped at
+# four chunks: at 16 chunks + 4321 a span is not a whole chunk, and from
+# 64 chunks up every span but the last is four whole chunks.
 LONG_LENGTHS = tuple(k * _CHUNK_FRAMES + extra for k in (16, 64) for extra in (0, 4321))
 BLOCK_POWER_CASES = [
     (rate, length)
@@ -195,6 +198,32 @@ class TestBlockPowers:
         # place at a time, plus block-sized arrays: 0.07 on 3 s, where a
         # span is 1/16 of the song
         assert peak / buffer.samples.nbytes <= 0.1
+
+
+# 0.5 s of stereo noise at peak 0.5: two loudness blocks
+_HALF_SCALE = np.random.default_rng(7).normal(0.0, 1.0, (2, 22050))
+_HALF_SCALE *= 0.5 / np.abs(_HALF_SCALE).max()
+
+
+class TestLoudnessScaleLaw:
+    """A signal scaled by 2**k reads 20*k*log10(2) dB louder and still
+    normalizes to the target, up to the largest finite scale. From k = 507
+    its K-weighted energy overflows float64, so it is measured at an exact
+    power-of-two scale; a numpy warning is an error in this suite."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(0, 1022))
+    @example(k=507)
+    @example(k=512)
+    @example(k=1022)
+    def test_powers_of_two(self, k):
+        base = integrated_loudness(make_buffer(_HALF_SCALE)).value
+        scaled = make_buffer(np.ldexp(_HALF_SCALE, k))
+        assert integrated_loudness(scaled).value == pytest.approx(
+            base + 20.0 * k * math.log10(2.0), rel=0.0, abs=1e-9
+        )
+        out = normalize_to_loudness(scaled, -23.0)
+        assert integrated_loudness(out).value == pytest.approx(-23.0, rel=0.0, abs=1e-9)
 
 
 class TestNormalizeToLoudness:

@@ -350,6 +350,18 @@ class TestChainInPlace:
         assert_read_only(out)
         assert np.array_equal(out.samples, expected)
 
+    def test_enhance_is_the_stage_composition_at_overflow_gains(self):
+        # at 6160 dB the remix's K-weighted squares overflow float64: enhance
+        # and normalize_to_loudness measure it at the same power-of-two scale
+        truth = synth_stems(np.random.default_rng(0))
+        mix, listener = exact_mix(truth), flat_listener(40.0)
+        gains, options = GainSpec(6160.0, 0.0, 0.0, 0.0), EnhanceOptions()
+        expected, clipped = _composed_chain(mix, [truth], gains, listener, options)
+        out, report = enhance(mix, [truth], gains, listener, options)
+        assert report.clipped_samples == clipped
+        assert np.array_equal(out.samples, expected)
+        assert np.array_equal(np.signbit(out.samples), np.signbit(expected))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n_frames", LENGTHS)
     @pytest.mark.parametrize(
