@@ -15,7 +15,7 @@ import os
 import secrets
 import struct
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -97,14 +97,13 @@ class AudioBuffer:
             raise ValueError(f"samples must be (channels, frames), got shape {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("buffer needs at least one channel")
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
+        rate = _positive_integer(self.sample_rate, "sample_rate")
         if not _all_finite(samples):
             raise ValueError("samples contain NaN or Inf")
         samples = samples.view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     @property
     def channels(self) -> int:
@@ -148,10 +147,16 @@ class WavFormat:
             raise ValueError(
                 f"bit_depth must be one of {_SUPPORTED_BIT_DEPTHS}, got {self.bit_depth!r}"
             )
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+        for name in ("sample_rate", "channels"):
+            object.__setattr__(self, name, _positive_integer(getattr(self, name), name))
+
+
+def _positive_integer(value, field: str) -> int:
+    """``value`` as an int when it is a positive integer (a boolean is
+    not), or a ValueError naming ``field``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value <= 0:
+        raise ValueError(f"{field} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def ensure_aligned(*buffers: AudioBuffer, what: str = "signals") -> None:
@@ -181,11 +186,6 @@ def _chunks(n_frames: int, span: int = _CHUNK_FRAMES) -> Iterator[slice]:
     """Consecutive slices of at most ``span`` frames covering a song."""
     for start in range(0, n_frames, span):
         yield slice(start, min(start + span, n_frames))
-
-
-def _chunk_scratch(like: np.ndarray, span: int = _CHUNK_FRAMES) -> np.ndarray:
-    """An uninitialized array for ``span`` frames of ``like``, in its memory order."""
-    return np.empty_like(like[:, :span])
 
 
 def _song_span(n_frames: int) -> int:
@@ -219,7 +219,7 @@ def _weighted_sum(
         out = np.empty_like(first)
     n_frames = out.shape[1]
     span = _song_span(n_frames)
-    scratch = _chunk_scratch(out, span)
+    scratch = np.empty_like(out[:, :span])
     with np.errstate(over="raise"):
         try:
             for frames in _chunks(n_frames, span):

@@ -66,12 +66,7 @@ class Audiogram:
             raise ValueError("frequencies and levels must have equal length")
         if len(freqs) == 0:
             raise ValueError("audiogram must not be empty")
-        if not all(np.isfinite(freqs)):
-            raise ValueError("audiogram frequencies must be finite")
-        if any(f <= 0 for f in freqs):
-            raise ValueError("audiogram frequencies must be positive")
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise ValueError("audiogram frequencies must be strictly ascending")
+        _check_anchors(freqs, "audiogram frequencies")
         if not all(np.isfinite(levels)):
             raise ValueError("audiogram levels must be finite")
         for required in (500.0, 1000.0, 2000.0):
@@ -85,6 +80,18 @@ class Audiogram:
             if np.isclose(f, frequency):
                 return v
         raise KeyError(f"audiogram has no {frequency:g} Hz entry")
+
+
+def _check_anchors(frequencies: Sequence[float], what: str) -> None:
+    """Anchor frequencies are finite, positive and strictly ascending;
+    otherwise a ValueError names them as ``what``."""
+    freqs = [float(f) for f in frequencies]
+    if not all(np.isfinite(freqs)):
+        raise ValueError(f"{what} must be finite, got {freqs}")
+    if any(f <= 0 for f in freqs):
+        raise ValueError(f"{what} must be positive, got {freqs}")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ValueError(f"{what} must be strictly ascending, got {freqs}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,15 @@ def design_nalr_fir(
     range) with a raised-cosine window. Because a short window smears the
     steep low-frequency slope, the anchor targets are iteratively
     pre-corrected until the measured response lands on the prescription;
-    at 141 taps / 44.1 kHz the anchors come out well inside 1 dB.
+    at 141 taps / 44.1 kHz the anchors come out well inside 1 dB. Anchor
+    frequencies follow an audiogram's rule: finite, positive, ascending.
     """
     _check_n_taps(n_taps)
     anchors = np.asarray(frequencies, dtype=np.float64)
     gains = np.asarray(gains_db, dtype=np.float64)
     if anchors.shape != gains.shape or anchors.ndim != 1:
         raise ValueError("frequencies and gains must be 1-D and equal length")
+    _check_anchors(anchors, "frequencies")
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
 

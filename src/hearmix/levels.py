@@ -190,9 +190,8 @@ def _gated_lufs(block_power: np.ndarray | None) -> float | None:
     relative_gate = (
         _LOUDNESS_OFFSET + 10.0 * np.log10(np.mean(block_power[kept])) - _RELATIVE_GATE_LU
     )
+    # keeps a block: the loudest is at least their mean, 10 LU above the gate
     kept &= block_lufs > relative_gate
-    if not np.any(kept):
-        return None
     return _LOUDNESS_OFFSET + 10.0 * np.log10(np.mean(block_power[kept]))
 
 

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .audio import AudioBuffer, _chunk_scratch, _chunks, ensure_aligned
+from .audio import AudioBuffer, _chunks, _song_span, ensure_aligned
 from .stems import TRACK_NAMES, StemSet
 
 SDR_CAP_DB = 100.0
@@ -40,17 +40,17 @@ def sdr(reference: AudioBuffer, estimate: AudioBuffer) -> SdrScore:
 
 def _powers(reference: np.ndarray, estimate: np.ndarray) -> tuple[float, float]:
     """The summed squares of ``reference`` and of ``reference - estimate``,
-    chunk by chunk through one chunk of scratch."""
+    span by span of the front end's walk through one span of scratch."""
     ref_power = err_power = 0.0
-    scratch = _chunk_scratch(reference)
-    for frames in _chunks(reference.shape[1]):
+    n_frames = reference.shape[1]
+    span = _song_span(n_frames)
+    scratch = np.empty_like(reference[:, :span])
+    for frames in _chunks(n_frames, span):
         r = reference[:, frames]
+        ref_power += float(np.einsum("ij,ij->", r, r))
         x = scratch[:, : frames.stop - frames.start]
-        np.multiply(r, r, out=x)
-        ref_power += float(x.sum())
         np.subtract(r, estimate[:, frames], out=x)
-        np.multiply(x, x, out=x)
-        err_power += float(x.sum())
+        err_power += float(np.einsum("ij,ij->", x, x))
     return ref_power, err_power
 
 

@@ -147,18 +147,7 @@ class EnhanceOptions:
 
 def remix(stems: StemSet, gains: GainSpec) -> AudioBuffer:
     """Sum the tracks scaled to the requested gains; muted tracks add zero."""
-    return stems.vocals.with_samples(_remix(stems, gains))
-
-
-def _remix(stems: StemSet, gains: GainSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """``remix``'s samples, written over ``out`` when it is given."""
-    scales = _linear_gains(gains)
-    terms = [(scales[name], stems.track(name).samples) for name in TRACK_NAMES]
-    return _weighted_sum(terms, _OVERFLOW.format(gains.as_dict()), out)
-
-
-def _linear_gains(gains: GainSpec) -> dict[str, float]:
-    return {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
+    return stems.vocals.with_samples(_front_end([stems], gains))
 
 
 def _require_stereo(signal: AudioBuffer, caller: str) -> None:
@@ -173,13 +162,15 @@ def _loudness_target(mixture_lufs: float | None) -> float:
 
 
 def _front_end(
-    mix: AudioBuffer,
     stem_sets: Sequence[StemSet],
     gains: GainSpec,
-    options: EnhanceOptions,
+    weights: Sequence[float] | None = None,
+    mix: AudioBuffer | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Ensemble, residual repair and remix as one weighted sum over the
-    separators' tracks and the mix, into a new array that the caller owns.
+    """Ensemble, residual repair (only when ``mix`` is given) and remix as
+    one weighted sum over the separators' tracks and the mix, written over
+    ``out``, or into a new array that the caller owns.
 
     All three stages are linear, so each input gets one coefficient. Track
     ``t`` of separator ``k`` gets ``c_t * (w_k / W)`` for ensemble weights
@@ -187,20 +178,21 @@ def _front_end(
     linear gain ``g_t``. With it, ``g_o * (o + mix - v - d - b) / 2`` gives
     vocals, drums and bass ``g_t - g_o/2``, "other" ``g_o/2``, and the mix
     joins as a last term of ``g_o/2``. Terms run in ``TRACK_NAMES`` order,
-    separators in order within a track, then the mix.
+    separators in order within a track, then the mix. One separator at
+    unit weight is ``w_k / W = 1.0``, so its tracks keep their plain gains.
     """
-    w, total = _ensemble_weights(stem_sets, options.ensemble_weights)
-    scales = _linear_gains(gains)
+    w, total = _ensemble_weights(stem_sets, weights)
+    scales = {name: db_to_linear(gains.gain(name)) for name in TRACK_NAMES}
     half_other = scales["other"] / 2
     terms = []
     for name in TRACK_NAMES:
         scale = scales[name]
-        if options.use_residual:
+        if mix is not None:
             scale = half_other if name == "other" else scale - half_other
         terms += [(scale * (wk / total), s.track(name).samples) for wk, s in zip(w, stem_sets)]
-    if options.use_residual:
+    if mix is not None:
         terms.append((half_other, mix.samples))
-    return _weighted_sum(terms, _OVERFLOW.format(gains.as_dict()))
+    return _weighted_sum(terms, _OVERFLOW.format(gains.as_dict()), out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +246,8 @@ def enhance(
 
     # one song-sized array: the front end allocates it, and every later
     # stage measures or rewrites it in place
-    samples = _front_end(mix, stem_sets, gains, options)
+    residual_mix = mix if options.use_residual else None
+    samples = _front_end(stem_sets, gains, options.ensemble_weights, residual_mix)
     gain = _normalizing_gain(samples, mix.sample_rate, target)
     _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps, gain)
     signal = mix.with_samples(samples)  # read-only: the compressor writes `samples`
@@ -286,9 +279,9 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     """
     _require_stereo(true_stems.vocals, "build_reference")
     rate = true_stems.sample_rate
-    samples = _remix(true_stems, _UNIT_GAINS)
+    samples = _front_end([true_stems], _UNIT_GAINS)
     target = _loudness_target(_integrated_lufs(samples, rate))
-    _remix(true_stems, gains, samples)
+    _front_end([true_stems], gains, out=samples)
     gain = _normalizing_gain(samples, rate, target)
     _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS, gain)
     return true_stems.vocals.with_samples(samples)

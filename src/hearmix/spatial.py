@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, _convolve_into, read_wav
+from .audio import AudioBuffer, _convolve_into, _positive_integer, read_wav
 
 # directory layout for a kernel stored as four mono files
 _KERNEL_FILE_NAMES = ("ll.wav", "rl.wav", "lr.wav", "rr.wav")
@@ -41,8 +41,7 @@ class CrosstalkKernel:
             paths.append(h)
         if len({h.size for h in paths}) != 1:
             raise ValueError("all four impulse responses must have equal length")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        object.__setattr__(self, "sample_rate", _positive_integer(self.sample_rate, "sample_rate"))
 
     @property
     def length(self) -> int:

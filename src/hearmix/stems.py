@@ -22,7 +22,7 @@ from .audio import (
     AudioBuffer,
     _chunks,
     _finite_number,
-    _song_span,
+    _positive_integer,
     _weighted_sum,
     ensure_aligned,
     read_wav,
@@ -173,25 +173,22 @@ def ensemble_average(
     Weights default to equal, must be finite and non-negative with a
     positive, finite sum, and are normalized to sum to 1. Weights that
     overflow a track's weighted sum are rejected; the error names the
-    first track to overflow, going through the song span by span and
-    each span in ``TRACK_NAMES`` order.
+    first such track in ``TRACK_NAMES`` order.
     """
     w, total = _ensemble_weights(stem_sets, weights)
-    first = stem_sets[0]
-    tracks = {name: np.empty_like(first.track(name).samples) for name in TRACK_NAMES}
     overflow = f"ensemble weights {w.tolist()} overflow the weighted sum of the {{}} track"
-    for frames in _chunks(first.n_frames, _song_span(first.n_frames)):
-        for name in TRACK_NAMES:
-            mean = tracks[name][:, frames]
-            terms = [(wk, s.track(name).samples[:, frames]) for wk, s in zip(w, stem_sets)]
-            # (w[0]*x[0] + w[1]*x[1] + ...) + 0.0, divided once, keeps
-            # equal-weight averages and one-hot selections exact; adding
-            # 0.0 makes a -0.0 sum +0.0, as summing onto zeros would
-            _weighted_sum(terms, overflow.format(name), mean)
-            mean += 0.0
-            if total != 1.0:  # x / 1.0 is x
-                mean /= total
-    return StemSet(**{name: first.vocals.with_samples(x) for name, x in tracks.items()})
+    tracks = {}
+    for name in TRACK_NAMES:
+        terms = [(wk, s.track(name).samples) for wk, s in zip(w, stem_sets)]
+        # (w[0]*x[0] + w[1]*x[1] + ...) + 0.0, divided once, keeps
+        # equal-weight averages and one-hot selections exact; adding
+        # 0.0 makes a -0.0 sum +0.0, as summing onto zeros would
+        mean = _weighted_sum(terms, overflow.format(name))
+        mean += 0.0
+        if total != 1.0:  # x / 1.0 is x
+            mean /= total
+        tracks[name] = stem_sets[0].vocals.with_samples(mean)
+    return StemSet(**tracks)
 
 
 def _ensemble_weights(
@@ -262,8 +259,7 @@ def salient_segments(
         raise ValueError(f"unknown track {track!r}; expected one of {TRACK_NAMES}")
     if segment_frames is None:
         segment_frames = 6 * stems.sample_rate
-    if segment_frames <= 0:
-        raise ValueError("segment_frames must be positive")
+    segment_frames = _positive_integer(segment_frames, "segment_frames")
     if not 0.0 <= ratio_threshold <= 1.0:
         raise ValueError("ratio_threshold must be in [0, 1]")
 

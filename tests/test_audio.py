@@ -138,6 +138,20 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros((1, 4)), -44100)
 
+    @pytest.mark.parametrize("rate", [True, 44100.0, 44100.5, "44100"])
+    def test_rejects_a_rate_that_is_not_an_integer(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be a positive integer"):
+            AudioBuffer(np.zeros((1, 4)), rate)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 3, 4), r"^samples must be \(channels, frames\)"), ((0, 4), "at least one channel")],
+        ids=["three_dims", "no_channels"],
+    )
+    def test_rejects_a_bad_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            AudioBuffer(np.zeros(shape), 44100)
+
     def test_duration(self):
         assert make_buffer(np.zeros((2, 44100))).duration == pytest.approx(1.0)
 
@@ -307,6 +321,20 @@ class TestReadWav:
         with pytest.raises(WavReadError):
             read_wav(path)
 
+    @pytest.mark.parametrize("channels, rate", [(0, 44100), (1, 0)], ids=["no_channels", "zero_rate"])
+    def test_invalid_fmt_fields_rejected(self, tmp_path, channels, rate):
+        path = tmp_path / "fields.wav"
+        path.write_bytes(_riff(_fmt_chunk(PCM, channels, 16, rate=rate), _chunk(b"data", bytes(4))))
+        with pytest.raises(WavReadError, match=r"fields\.wav: invalid fmt chunk"):
+            read_wav(path)
+
+    def test_partial_frame_rejected(self, tmp_path):
+        # stereo 16-bit frames are 4 bytes; the data chunk holds 6
+        path = tmp_path / "partial.wav"
+        path.write_bytes(_riff(_fmt_chunk(PCM, 2, 16), _chunk(b"data", bytes(6))))
+        with pytest.raises(TruncatedFileError, match=r"partial\.wav: data chunk holds a partial frame"):
+            read_wav(path)
+
     def test_nonfinite_float_file_raises_instead_of_yielding_nan(self, tmp_path):
         path = tmp_path / "nan.wav"
         data = np.array([0.0, np.nan, 0.5], dtype=np.float32)
@@ -442,6 +470,15 @@ class TestWavFormats:
         path = tmp_path / "short.wav"
         path.write_bytes(_riff(_fmt_chunk(EXTENSIBLE, 1, 16), _chunk(b"data", bytes(4))))
         with pytest.raises(WavReadError, match="needs 40"):
+            read_wav(path)
+
+    def test_extensible_fmt_cut_short_after_the_data_is_truncated(self, tmp_path):
+        # the fmt chunk declares its 40 bytes but the file ends 10 bytes into
+        # the SubFormat GUID; only a data chunk before it is ever found
+        fmt = _fmt_chunk(EXTENSIBLE, 1, 16, _subformat(PCM))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(_riff(_chunk(b"data", bytes(4)), fmt[: 8 + 34]))
+        with pytest.raises(TruncatedFileError, match=r"cut\.wav: fmt chunk truncated"):
             read_wav(path)
 
 
@@ -600,6 +637,29 @@ class TestWriteWav:
     def test_bad_bit_depth_rejected(self):
         with pytest.raises(ValueError):
             WavFormat("pcm8", 44100, 2)
+
+    @pytest.mark.parametrize(
+        "field, rate, channels",
+        [
+            ("sample_rate", 44100.0, 2),
+            ("sample_rate", True, 2),
+            ("sample_rate", 0, 2),
+            ("channels", 44100, 2.0),
+            ("channels", 44100, True),
+            ("channels", 44100, 0),
+        ],
+        ids=["float_rate", "bool_rate", "zero_rate", "float_channels", "bool_channels", "no_channels"],
+    )
+    def test_format_fields_must_be_positive_integers(self, field, rate, channels):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            WavFormat(PCM_16, rate, channels)
+
+    def test_numpy_integer_format_fields_write(self, tmp_path):
+        buf = make_buffer(np.zeros((2, 8)))
+        fmt = WavFormat(PCM_16, np.int64(44100), np.int32(2))
+        assert type(fmt.sample_rate) is int and type(fmt.channels) is int
+        write_wav(buf, tmp_path / "x.wav", fmt)
+        assert read_wav(tmp_path / "x.wav").sample_rate == 44100
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("depth", [PCM_16, PCM_24, FLOAT_32])

@@ -55,6 +55,10 @@ class TestAudiogram:
         with pytest.raises(ValueError, match="frequencies must be finite"):
             Audiogram(freqs, (0.0,) * 4)
 
+    def test_requires_entries(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            Audiogram((), ())
+
     def test_level_at(self):
         assert FLAT_60.level_at(1000.0) == 60.0
         with pytest.raises(KeyError):
@@ -205,6 +209,11 @@ class TestFirFilter:
         with pytest.raises(ValueError, match="symmetric"):
             FirFilter(taps, 44100)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_taps(self, bad):
+        with pytest.raises(ValueError, match="taps must be finite"):
+            FirFilter(np.array([0.0, bad, 0.0]), 44100)
+
     def test_delay(self):
         assert _delta_filter(141).delay == 70
 
@@ -249,6 +258,30 @@ class TestDesignNalrFir:
     def test_nonfinite_gains_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             design_nalr_fir(AUDIOMETRIC_FREQUENCIES, [0, 0, 0, np.inf, 0, 0], 141)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            design_nalr_fir(AUDIOMETRIC_FREQUENCIES, np.zeros(5), 141)
+
+    @pytest.mark.parametrize(
+        "anchors, rule",
+        [
+            ((0.0, 500.0, 1000.0, 2000.0), "positive"),
+            ((-250.0, 500.0, 1000.0, 2000.0), "positive"),
+            ((250.0, 1000.0, 500.0, 2000.0), "strictly ascending"),
+            ((250.0, 500.0, 500.0, 2000.0), "strictly ascending"),
+            ((np.nan, 500.0, 1000.0, 2000.0), "finite"),
+            ((250.0, 500.0, 1000.0, np.inf), "finite"),
+        ],
+        ids=["zero", "negative", "descending", "repeated", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("gains", [(10.0, 20.0, 30.0, 40.0), (0.0,) * 4], ids=["gain", "flat"])
+    def test_anchors_follow_the_audiogram_rule(self, anchors, rule, gains):
+        # the same check as an audiogram's, before any design or shortcut
+        with pytest.raises(ValueError, match=rf"^frequencies must be {rule}, got \["):
+            design_nalr_fir(anchors, gains, 141)
+        with pytest.raises(ValueError, match=rf"^audiogram frequencies must be {rule}, got \["):
+            Audiogram(anchors, gains)
 
 
 class TestApplyFir:

@@ -93,6 +93,10 @@ class TestGainSpec:
         with pytest.raises(ValueError, match=r"^bass gain of 7000\.0 dB has no finite linear factor"):
             GainSpec(0.0, 0.0, 7000.0, 0.0)
 
+    def test_gain_of_an_unknown_track_rejected(self):
+        with pytest.raises(ValueError, match="unknown track 'guitar'"):
+            UNIT_GAINS.gain("guitar")
+
     def test_load_gains(self, tmp_path):
         path = tmp_path / "gains.json"
         path.write_text(json.dumps({"vocals": "mute", "drums": -3, "bass": 0, "other": 2.5}))
@@ -111,6 +115,13 @@ class TestGainSpec:
         path = tmp_path / "gains.json"
         path.write_text(json.dumps({"vocals": "loud", "drums": 0, "bass": 0, "other": 0}))
         with pytest.raises(ValueError, match="vocals"):
+            load_gains(path)
+
+    @pytest.mark.parametrize("doc", [[0, 0, 0, 0], 0, "mute"], ids=["array", "number", "string"])
+    def test_load_gains_rejects_a_document_that_is_not_an_object(self, tmp_path, doc):
+        path = tmp_path / "gains.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"gains\.json: gains file must hold a JSON object"):
             load_gains(path)
 
     @pytest.mark.parametrize(
@@ -259,8 +270,7 @@ class TestFrontEnd:
         truth = synth_stems(rng, seconds=0.2)
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 10.0, seed=s).stems() for s in range(k)]
-        options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
-        out = pipeline._front_end(mix, sets, gains, options)
+        out = pipeline._front_end(sets, gains, weights, mix if use_residual else None)
         assert_within_rounding(out, _composed_front_end(mix, sets, gains, weights, use_residual))
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -270,8 +280,7 @@ class TestFrontEnd:
     @pytest.mark.parametrize("n_frames", CHUNK_EDGES + SPAN_EDGES)
     def test_chunk_edges(self, rng, n_frames, k, weights, gains, use_residual, order):
         mix, sets = random_stem_sets(rng, n_frames, k, order)
-        options = EnhanceOptions(use_residual=use_residual, ensemble_weights=weights)
-        out = pipeline._front_end(mix, sets, gains, options)
+        out = pipeline._front_end(sets, gains, weights, mix if use_residual else None)
         expected = whole_song_front_end(mix, sets, gains, weights, use_residual)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
@@ -287,8 +296,8 @@ class TestFrontEnd:
         # other than 0 dB the two differ by rounding only
         truth = synth_stems(rng, seconds=0.2)
         mix = exact_mix(truth)
-        on = pipeline._front_end(mix, [truth] * k, gains, EnhanceOptions())
-        off = pipeline._front_end(mix, [truth] * k, gains, EnhanceOptions(use_residual=False))
+        on = pipeline._front_end([truth] * k, gains, mix=mix)
+        off = pipeline._front_end([truth] * k, gains)
         assert_within_rounding(on, off)
 
     def test_overflowing_weights_are_normalized_first(self, rng):
@@ -297,7 +306,7 @@ class TestFrontEnd:
         mix, (quiet,) = random_stem_sets(rng, 100, 1)
         sets = [StemSet(loud, loud, loud, loud), quiet]
         weights = (1e308, 1e307)
-        out = pipeline._front_end(mix, sets, UNIT_GAINS, EnhanceOptions(ensemble_weights=weights))
+        out = pipeline._front_end(sets, UNIT_GAINS, weights, mix)
         normalized = tuple(np.divide(weights, np.sum(weights)))
         assert np.all(np.isfinite(out))
         assert_within_rounding(out, _composed_front_end(mix, sets, UNIT_GAINS, normalized, True))
@@ -305,7 +314,9 @@ class TestFrontEnd:
 
 def _composed_chain(mix, sets, gains, listener, options):
     """The public stages one after another: what ``enhance`` must equal."""
-    signal = mix.with_samples(pipeline._front_end(mix, sets, gains, options))
+    residual_mix = mix if options.use_residual else None
+    samples = pipeline._front_end(sets, gains, options.ensemble_weights, residual_mix)
+    signal = mix.with_samples(samples)
     signal = normalize_to_loudness(signal, integrated_loudness(mix).value)
     signal = nalr_process(signal, listener, options.n_taps)
     report = count_clipped(signal)
@@ -606,7 +617,7 @@ class TestPeakMemory:
         truth = synth_stems(rng, seconds=3.0)
         mix = exact_mix(truth)
         sets = [NoisyOracleStemProvider(truth, 20.0, seed=s).stems() for s in range(k)]
-        _, peak = peak_buffers(mix, pipeline._front_end, mix, sets, UNIT_GAINS, EnhanceOptions())
+        _, peak = peak_buffers(mix, pipeline._front_end, sets, UNIT_GAINS, None, mix)
         assert peak <= 1.5
 
     def test_build_reference_holds_few_buffers(self, rng):
@@ -646,7 +657,7 @@ class TestBuildReference:
         def stage_ran(*args, **kwargs):
             raise AssertionError("build_reference ran a stage on mono stems")
 
-        monkeypatch.setattr(pipeline, "_remix", stage_ran)
+        monkeypatch.setattr(pipeline, "_front_end", stage_ran)
         monkeypatch.setattr(pipeline, "_nalr_in_place", stage_ran)
         stems = synth_stems(rng, seconds=0.5, channels=1)
         with pytest.raises(ValueError, match="build_reference needs a stereo mix"):
@@ -796,6 +807,22 @@ class TestBatch:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"jobs": [{"song_id": "x"}]}))
         with pytest.raises(ValueError, match="bad job"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("doc", [[], {"jobs": {}}, {"songs": []}], ids=["array", "jobs_object", "no_jobs"])
+    def test_manifest_without_a_jobs_array_fatal(self, tmp_path, doc):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r'manifest\.json: manifest must be an object with a "jobs" array'):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("stems", [[], "song0/stems"], ids=["empty", "string"])
+    def test_job_without_a_stems_array_fatal(self, tmp_path, rng, stems):
+        path = self._manifest(tmp_path, rng, n_jobs=1)
+        doc = json.loads(path.read_text())
+        doc["jobs"][0]["stems"] = stems
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r'bad job entry #0: "stems" must be a non-empty array'):
             load_manifest(path)
 
     @pytest.mark.parametrize(

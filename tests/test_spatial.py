@@ -39,6 +39,20 @@ class TestKernel:
         with pytest.raises(ValueError):
             CrosstalkKernel(bad, np.ones(2), np.ones(2), np.ones(2), sample_rate=44100)
 
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones(0)], ids=["2d", "empty"])
+    def test_rejects_a_response_that_is_not_a_non_empty_vector(self, bad):
+        with pytest.raises(ValueError, match="h_lr must be a non-empty 1-D impulse response"):
+            CrosstalkKernel(np.ones(4), np.ones(4), bad, np.ones(4), sample_rate=44100)
+
+    @pytest.mark.parametrize("rate", [44100.5, 44100.0, "44100", True, 0, -44100])
+    def test_rate_must_be_a_positive_integer(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be a positive integer"):
+            CrosstalkKernel(np.ones(4), np.ones(4), np.ones(4), np.ones(4), sample_rate=rate)
+
+    def test_numpy_integer_rate_accepted(self):
+        kernel = CrosstalkKernel(*np.ones((4, 4)), sample_rate=np.int32(44100))
+        assert type(kernel.sample_rate) is int and kernel.sample_rate == 44100
+
     def test_identity_kernel_shape(self):
         kernel = identity_kernel(44100, length=8)
         assert kernel.length == 8
@@ -244,6 +258,12 @@ class TestLoadKernel:
         for name, rate in (("ll.wav", 44100), ("rl.wav", 44100), ("lr.wav", 48000), ("rr.wav", 44100)):
             write_wav(AudioBuffer(rng.normal(0, 0.2, (1, 64)), rate), tmp_path / name)
         with pytest.raises(ValueError, match="mixed sample rates"):
+            load_kernel(tmp_path)
+
+    def test_directory_stereo_part_rejected(self, rng, tmp_path):
+        for name, channels in (("ll.wav", 1), ("rl.wav", 2), ("lr.wav", 1), ("rr.wav", 1)):
+            write_wav(AudioBuffer(rng.normal(0, 0.2, (channels, 64)), 44100), tmp_path / name)
+        with pytest.raises(ValueError, match=r"rl\.wav: kernel part files must be mono"):
             load_kernel(tmp_path)
 
     def test_missing_path(self, tmp_path):

@@ -171,14 +171,15 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match=r"ensemble weights \[1e\+308, 1e\+307\] overflow"):
             ensemble_average([stems, stems], weights=(1e308, 1e307))
 
-    def test_overflow_names_the_first_track_to_overflow_in_the_song(self):
-        # vocals overflow only in the last frame, drums in the first chunk
+    def test_overflow_names_the_first_overflowing_track_in_track_order(self):
+        # vocals overflow only in the last frame, drums in the first chunk;
+        # each track is summed whole, vocals first
         n = 2 * stems_module._CHUNK_FRAMES + 17
         quiet, loud = np.full((2, n), 0.5), np.full((2, n), 1.9)
         loud_end = quiet.copy()
         loud_end[:, -1] = 1.9
         stems = StemSet(*(make_buffer(x) for x in (loud_end, loud, quiet, quiet)))
-        with pytest.raises(ValueError, match="overflow the weighted sum of the drums track"):
+        with pytest.raises(ValueError, match="overflow the weighted sum of the vocals track"):
             ensemble_average([stems, stems], weights=(1e308, 1e307))
         stems = StemSet(*(make_buffer(x) for x in (loud_end, quiet, quiet, quiet)))
         with pytest.raises(ValueError, match="overflow the weighted sum of the vocals track"):
@@ -389,6 +390,18 @@ class TestSalientSegments:
             salient_segments(stems, "vocals", 0, 0.1)
         with pytest.raises(ValueError):
             salient_segments(stems, "vocals", 100, 1.5)
+
+    @pytest.mark.parametrize("frames", [2.5, 100.0, True, "100", 0, -100])
+    def test_segment_frames_must_be_a_positive_integer(self, rng, frames):
+        stems = synth_stems(rng, seconds=0.05)
+        with pytest.raises(ValueError, match="^segment_frames must be a positive integer"):
+            salient_segments(stems, "vocals", frames, 0.1)
+
+    def test_numpy_integer_segment_frames_accepted(self, rng):
+        stems = synth_stems(rng, seconds=0.05)
+        segments = salient_segments(stems, "vocals", np.int64(100), 0.0)
+        assert [s.start for s in segments] == list(range(0, stems.n_frames - 99, 100))
+        assert all(type(s.start) is int and type(s.length) is int for s in segments)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
