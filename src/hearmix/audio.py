@@ -201,6 +201,24 @@ def _song_span(n_frames: int) -> int:
     return min(4 * _CHUNK_FRAMES, max(_CHUNK_FRAMES, n_frames // 16))
 
 
+def _add_segment_sums(
+    sums: np.ndarray, edges: np.ndarray, frames: slice, values: np.ndarray
+) -> None:
+    """Add to ``sums[i]`` the sum over channels of the (channels, frames)
+    ``values`` of the span ``frames`` from frame ``edges[i]`` (sorted,
+    distinct, from 0) up to ``edges[i + 1]``, the last up to the span's end.
+
+    One ``np.add.reduceat`` sums each segment that meets the span over its
+    own frames only, so a quiet segment keeps its digits whatever came
+    before it. A segment that crosses the span's end keeps its partial sum.
+    """
+    first = np.searchsorted(edges, frames.start, side="right") - 1
+    stop = np.searchsorted(edges, frames.stop)
+    cuts = edges[first:stop] - frames.start
+    cuts[0] = 0  # the segment the span starts in
+    sums[first:stop] += np.add.reduceat(values, cuts, axis=1).sum(axis=0)
+
+
 def _weighted_sum(
     terms: Sequence[tuple[float, np.ndarray]], overflow: str, out: np.ndarray | None = None
 ) -> np.ndarray:

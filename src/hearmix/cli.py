@@ -44,7 +44,10 @@ def _write_json(path, payload) -> None:
 def _options_from_args(args) -> EnhanceOptions:
     weights = None
     if args.weights:
-        weights = tuple(float(w) for w in args.weights.split(","))
+        try:
+            weights = tuple(float(w) for w in args.weights.split(","))
+        except ValueError:
+            raise ValueError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
     return EnhanceOptions(
         use_residual=not args.no_residual,
         use_compressor_heuristic=not args.no_compressor,
@@ -115,6 +118,8 @@ def _cmd_segments(args) -> int:
         raise ValueError(f"--seconds must be a positive finite number, got {args.seconds}")
     stems = DirectoryStemProvider(args.stems).stems()
     frames = int(round(args.seconds * stems.sample_rate))
+    if frames < 1:
+        raise ValueError(f"--seconds {args.seconds} is under one frame at {stems.sample_rate} Hz")
     segments = salient_segments(stems, args.track, frames, args.threshold)
     _write_json(
         args.report,

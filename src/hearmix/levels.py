@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter, sosfilt
 
-from .audio import _CHUNK_FRAMES, AudioBuffer, _chunks, _song_span
+from .audio import (
+    _CHUNK_FRAMES, AudioBuffer, _add_segment_sums, _chunks, _finite_number, _song_span
+)
 
 CLIP_TRIGGER_COUNT = 25_000
 
@@ -76,8 +78,10 @@ class CompressorParams:
     def __post_init__(self):
         for name in ("threshold_db", "ratio", "attack_ms", "release_ms"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            try:
+                object.__setattr__(self, name, _finite_number(value, name))
+            except ValueError:
+                raise ValueError(f"{name} must be finite, got {value!r}") from None
         if self.ratio < 1.0:
             raise ValueError(f"ratio must be >= 1, got {self.ratio}")
         if self.attack_ms <= 0.0 or self.release_ms <= 0.0:
@@ -123,15 +127,13 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     times ``2**-exponent``, summed over channels; None when the signal is
     shorter than one block.
 
-    The signal is scaled, filtered and squared in ``_song_span`` spans.
-    The filter's state and the running energy (the sum of the squares of
-    every frame so far) carry from span to span, and the energy at each
-    block edge is kept as it passes. ``sosfilt`` with a carried ``zi``
-    continues the recursion exactly, and adding the carried energy to a
-    span's first square before its ``cumsum`` repeats the additions of one
-    ``cumsum`` over the song, so the powers are the same bits as one
-    whole-song pass, without a song-sized temporary. K-weighting is linear,
-    so scaling the signal by g scales every block power by g**2.
+    The signal is scaled, filtered and squared in ``_song_span`` spans up
+    to the last block's end; ``sosfilt`` with a carried ``zi`` continues
+    the recursion exactly. Each span's squares are summed between the hop
+    starts and block ends (``_add_segment_sums``), and a block's power is
+    the sum of its own segments, so no block loses digits to the energy
+    before it. K-weighting is linear, so scaling the signal by g scales
+    every block power by g**2.
     """
     if sample_rate < 8000:
         raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {sample_rate}")
@@ -141,30 +143,22 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     starts = np.arange(0, n_frames - block + 1, hop)
     if not starts.size:
         return None
-    # block s holds frames s .. s+block-1: its power is the energy through
-    # its last frame less the energy through frame s-1
-    edges = np.union1d(starts[1:] - 1, starts + block - 1)
-    at_edges = np.empty((channels, edges.size))
+    edges = np.union1d(starts, starts + block)
+    sums = np.zeros(edges.size)
     sos = _k_weighting_sos(sample_rate)
     zi = np.zeros((sos.shape[0], channels, 2))
-    carried = np.zeros(channels)
-    for frames in _chunks(n_frames, _song_span(n_frames)):
+    end = int(edges[-1])  # later frames count for no block
+    for frames in _chunks(end, _song_span(end)):
         x = samples[:, frames]
         if exponent:
             x = np.ldexp(x, -exponent)
-        # the filtered span becomes its running energy in place
-        energy, zi = sosfilt(sos, x, axis=1, zi=zi)
-        np.multiply(energy, energy, out=energy)
-        energy[:, 0] += carried
-        np.cumsum(energy, axis=1, out=energy)
-        carried = energy[:, -1].copy()
-        lo, hi = np.searchsorted(edges, (frames.start, frames.stop))
-        at_edges[:, lo:hi] = energy[:, edges[lo:hi] - frames.start]
-        del x, energy  # before the next span's are made
-    end = at_edges[:, np.searchsorted(edges, starts + block - 1)]
-    before = at_edges[:, np.searchsorted(edges, starts - 1)]
-    before[:, 0] = 0.0  # the energy before frame 0
-    return (end - before).sum(axis=0) / block
+        squares, zi = sosfilt(sos, x, axis=1, zi=zi)
+        np.multiply(squares, squares, out=squares)
+        _add_segment_sums(sums, edges, frames, squares)
+        del x, squares  # before the next span's are made
+    # reduceat at each block's (start, end) pair; the sums from an end on are dropped
+    bounds = np.searchsorted(edges, np.stack((starts, starts + block), axis=1).ravel())
+    return np.add.reduceat(sums, bounds)[::2] / block
 
 
 def _measure(samples: np.ndarray, sample_rate: int) -> tuple[np.ndarray | None, int]:

@@ -74,9 +74,8 @@ class GainSpec:
 
     def __post_init__(self):
         for name in TRACK_NAMES:
-            value = float(getattr(self, name))
-            if np.isnan(value) or value == float("inf"):
-                raise ValueError(f"{name} gain must be finite or -inf (mute), got {value}")
+            value = getattr(self, name)
+            value = MUTE if value == MUTE else _finite_number(value, f"{name} gain (or -inf to mute)")
             try:
                 db_to_linear(value)
             except OverflowError:

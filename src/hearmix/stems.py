@@ -17,12 +17,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio import (
-    _CHUNK_FRAMES,
     AlignmentError,
     AudioBuffer,
+    _add_segment_sums,
     _chunks,
     _finite_number,
     _positive_integer,
+    _song_span,
     _weighted_sum,
     ensure_aligned,
     read_wav,
@@ -260,47 +261,29 @@ def salient_segments(
     if segment_frames is None:
         segment_frames = 6 * stems.sample_rate
     segment_frames = _positive_integer(segment_frames, "segment_frames")
+    ratio_threshold = _finite_number(ratio_threshold, "ratio_threshold")
     if not 0.0 <= ratio_threshold <= 1.0:
         raise ValueError("ratio_threshold must be in [0, 1]")
 
     n_windows = stems.n_frames // segment_frames
-    # whole windows at a time, about one front-end chunk of frames per block,
-    # so no temporary spans the song; each window still sums its frames in one
-    # reduction, as a reshape of the whole song would. A frame's energy is
-    # x0**2 + x1**2 + ..., the additions of np.sum(x * x, axis=0), with each
-    # later channel squared a chunk at a time.
-    per_block = max(1, _CHUNK_FRAMES // segment_frames)
-    per_frame = np.empty(min(per_block, n_windows) * segment_frames)
-    square = np.empty(min(_CHUNK_FRAMES, per_frame.size))
+    # each track squared a span at a time into one span of scratch
+    edges = np.arange(n_windows) * segment_frames
+    end = n_windows * segment_frames
+    span = _song_span(end)
+    scratch = np.empty((stems.vocals.channels, min(span, end)))
     energies = {}
     for name in TRACK_NAMES:
-        first_channel, *channels = stems.track(name).samples
-        energy = np.empty(n_windows)
-        for first in range(0, n_windows, per_block):
-            count = min(per_block, n_windows - first)
-            frames = slice(first * segment_frames, (first + count) * segment_frames)
-            block = per_frame[: count * segment_frames]
-            np.multiply(first_channel[frames], first_channel[frames], out=block)
-            for channel in channels:
-                x = channel[frames]
-                for part in _chunks(block.size):
-                    sq = square[: part.stop - part.start]
-                    np.multiply(x[part], x[part], out=sq)
-                    block[part] += sq
-            energy[first : first + count] = block.reshape(count, segment_frames).sum(axis=1)
-        energies[name] = energy
+        samples = stems.track(name).samples
+        energies[name] = energy = np.zeros(n_windows)
+        for frames in _chunks(end, span):
+            square = scratch[:, : frames.stop - frames.start]
+            np.multiply(samples[:, frames], samples[:, frames], out=square)
+            _add_segment_sums(energy, edges, frames, square)
 
-    total = sum(energies[name] for name in TRACK_NAMES)
-    segments = []
-    for i in range(n_windows):
-        ratio = float(energies[track][i] / total[i]) if total[i] > 0.0 else 0.0
-        if ratio >= ratio_threshold:
-            segments.append(
-                Segment(
-                    start=i * segment_frames,
-                    length=segment_frames,
-                    track=track,
-                    energy_ratio=ratio,
-                )
-            )
-    return segments
+    total = sum(energies.values())
+    # a silent window's share is 0
+    ratios = np.divide(energies[track], total, out=np.zeros(n_windows), where=total > 0.0)
+    return [
+        Segment(int(i) * segment_frames, segment_frames, track, float(ratios[i]))
+        for i in np.flatnonzero(ratios >= ratio_threshold)
+    ]

@@ -157,6 +157,24 @@ class TestEnhanceCommand:
         assert "ensemble weights must have a finite sum" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
+    def test_weights_that_are_not_numbers_fail_naming_the_flag(self, song, capsys):
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--stems", str(song / "stems"),
+                "--gains", str(song / "gains.json"),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+                "--weights", "1,,2",
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: --weights must be comma-separated numbers, got '1,,2'")
+        assert not (song / "enhanced.wav").exists()
+
     def test_gain_with_overflowing_linear_factor_fails_naming_the_file(self, song, capsys):
         gains = write_gains_file(song / "loud_gains.json", drums=7000)
         rc = main(
@@ -315,6 +333,21 @@ class TestSegmentsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: --seconds must be a positive finite number")
         assert not (tmp_path / "segments.json").exists()
+
+    def test_seconds_shorter_than_a_frame_rejected(self, song, capsys):
+        rc = main(
+            [
+                "segments",
+                "--stems", str(song / "stems"),
+                "--track", "drums",
+                "--seconds", "1e-6",
+                "--report", str(song / "segments.json"),
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: --seconds 1e-06 is under one frame at 44100 Hz")
+        assert not (song / "segments.json").exists()
 
 
 def _summary(stderr: str) -> tuple[int, int]:

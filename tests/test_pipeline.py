@@ -87,6 +87,13 @@ class TestGainSpec:
         with pytest.raises(ValueError):
             GainSpec(float("inf"), 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", ["x", "0", None, True, [0.0]], ids=repr)
+    def test_rejects_a_gain_that_is_not_a_number(self, value):
+        with pytest.raises(
+            ValueError, match=r"^vocals gain \(or -inf to mute\) must be a finite number"
+        ):
+            GainSpec(value, 0.0, 0.0, 0.0)
+
     def test_rejects_a_gain_whose_linear_factor_overflows(self):
         # 10**(6165/20) is about 1.8e308, the largest float's neighbourhood
         assert np.isfinite(GainSpec(0.0, 0.0, 6165.0, 0.0).bass)

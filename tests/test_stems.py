@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
 
@@ -22,8 +23,8 @@ from hearmix import (
     sdr,
     write_wav,
 )
-from hearmix import stems as stems_module
-from hearmix.stems import _CHUNK_FRAMES, TRACK_NAMES
+from hearmix.audio import _CHUNK_FRAMES
+from hearmix.stems import TRACK_NAMES
 from util import (
     CHUNK_EDGES,
     SPAN_EDGES,
@@ -174,7 +175,7 @@ class TestEnsembleAverage:
     def test_overflow_names_the_first_overflowing_track_in_track_order(self):
         # vocals overflow only in the last frame, drums in the first chunk;
         # each track is summed whole, vocals first
-        n = 2 * stems_module._CHUNK_FRAMES + 17
+        n = 2 * _CHUNK_FRAMES + 17
         quiet, loud = np.full((2, n), 0.5), np.full((2, n), 1.9)
         loud_end = quiet.copy()
         loud_end[:, -1] = 1.9
@@ -397,6 +398,12 @@ class TestSalientSegments:
         with pytest.raises(ValueError, match="^segment_frames must be a positive integer"):
             salient_segments(stems, "vocals", frames, 0.1)
 
+    @pytest.mark.parametrize("threshold", ["0.5", None, True, float("nan")], ids=repr)
+    def test_ratio_threshold_must_be_a_finite_number(self, rng, threshold):
+        stems = synth_stems(rng, seconds=0.05)
+        with pytest.raises(ValueError, match="^ratio_threshold must be a finite number"):
+            salient_segments(stems, "vocals", 100, threshold)
+
     def test_numpy_integer_segment_frames_accepted(self, rng):
         stems = synth_stems(rng, seconds=0.05)
         segments = salient_segments(stems, "vocals", np.int64(100), 0.0)
@@ -408,19 +415,22 @@ class TestSalientSegments:
         "segment_frames",
         [1, 100, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 3 * _CHUNK_FRAMES + 5],
     )
-    def test_ratios_match_the_whole_song_sums(self, rng, segment_frames, order):
+    def test_ratios_match_the_window_fsums(self, rng, segment_frames, order):
         _, (stems,) = random_stem_sets(rng, 4 * _CHUNK_FRAMES + 17, 1, order)
         n_windows = stems.n_frames // segment_frames
         energies = {}
         for name in TRACK_NAMES:
-            x = stems.track(name).samples[:, : n_windows * segment_frames]
-            energies[name] = np.sum(x * x, axis=0).reshape(n_windows, segment_frames).sum(axis=1)
-        total = sum(energies[name] for name in TRACK_NAMES)
+            squares = stems.track(name).samples ** 2
+            energies[name] = [
+                math.fsum(squares[:, i * segment_frames : (i + 1) * segment_frames].ravel())
+                for i in range(n_windows)
+            ]
         segments = salient_segments(stems, "drums", segment_frames, 0.0)
         assert [s.start for s in segments] == [i * segment_frames for i in range(n_windows)]
         for i, segment in enumerate(segments):
-            expected = float(energies["drums"][i] / total[i]) if total[i] > 0.0 else 0.0
-            assert segment.energy_ratio == expected
+            total = math.fsum(energies[name][i] for name in TRACK_NAMES)
+            expected = energies["drums"][i] / total if total > 0.0 else 0.0
+            assert segment.energy_ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_holds_no_song_sized_temporary(self, rng):
         _, (stems,) = random_stem_sets(rng, 3 * 44100, 1)

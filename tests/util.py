@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hearmix import audio
-from hearmix.stems import _CHUNK_FRAMES
+from hearmix.audio import _CHUNK_FRAMES
 from hearmix import (
     AudioBuffer,
     Audiogram,
