@@ -67,7 +67,7 @@ def mild_crosstalk_kernel(rate, leak_db=-8.0, delay_frames=12):
     return CrosstalkKernel(direct, cross, cross.copy(), direct.copy(), rate)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=Path("demo"))
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -76,7 +76,7 @@ def main():
     parser.add_argument(
         "--loss-db", type=float, default=35.0, help="flat hearing loss for the listener"
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     out = args.out_dir

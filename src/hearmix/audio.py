@@ -1,10 +1,14 @@
 """Audio buffer representation, WAV file I/O, the dB-to-linear gain, and
 the strict JSON reader shared by the gains, listener and manifest loaders.
 
-Buffers hold float64 samples in a (channels, frames) array that is
-read-only: every operation returns a new buffer. There is no resampling
-anywhere in this package; operations that combine signals require identical
-sample rates and raise :class:`AlignmentError` otherwise.
+Buffers hold float32 or float64 samples in a (channels, frames) array
+that is read-only: every operation returns a new buffer. WAV files decode
+at their own precision: float32 for PCM-16/24 and float32 files, every
+sample of which is a float32, and float64 for PCM-32. Every stage computes
+in float64 and returns float64, so an output keeps its bits whichever
+precision its inputs were held at. There is no resampling anywhere in
+this package; operations that combine signals require identical sample
+rates and raise :class:`AlignmentError` otherwise.
 """
 
 from __future__ import annotations
@@ -78,19 +82,27 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Multichannel audio: float64 samples, shape (channels, frames).
+    """Multichannel audio: float32 or float64 samples, shape (channels, frames).
 
-    Samples are nominally in [-1, 1] but values beyond full scale are kept;
-    clipping only happens when writing integer WAV formats or inside the
-    compressor's safety clip. ``samples`` is a read-only view, so buffers
-    can be shared between threads; the array passed in keeps its own flag.
+    A float32 array is kept as it is, so a decoded file stays at half the
+    size; any other real-valued array (integers, float16, a list of
+    numbers) is widened to float64. Complex, boolean and non-numeric
+    samples are a ValueError. Samples are nominally in [-1, 1] but values
+    beyond full scale are kept; clipping only happens when writing integer
+    WAV formats or inside the compressor's safety clip. ``samples`` is a
+    read-only view, so buffers can be shared between threads; the array
+    passed in keeps its own flag.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iuf":
+            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
+        if samples.dtype != np.float32:
+            samples = samples.astype(np.float64, copy=False)
         if samples.ndim == 1:
             samples = samples[np.newaxis, :]
         if samples.ndim != 2:
@@ -234,7 +246,7 @@ def _weighted_sum(
     """
     (first_scale, first), *rest = terms
     if out is None:
-        out = np.empty_like(first)
+        out = np.empty_like(first, dtype=np.float64)
     n_frames = out.shape[1]
     span = _song_span(n_frames)
     scratch = np.empty_like(out[:, :span])
@@ -245,12 +257,12 @@ def _weighted_sum(
                 if first_scale == 1.0:
                     acc[...] = first[:, frames]
                 else:
-                    np.multiply(first[:, frames], first_scale, out=acc)
+                    np.multiply(first[:, frames], first_scale, out=acc, dtype=np.float64)
                 for scale, x in rest:
                     if scale == 1.0:
                         acc += x[:, frames]
                     else:
-                        np.multiply(x[:, frames], scale, out=product)
+                        np.multiply(x[:, frames], scale, out=product, dtype=np.float64)
                         acc += product
         except FloatingPointError:
             raise ValueError(overflow) from None
@@ -302,12 +314,13 @@ def _convolve_into(
             if written:
                 # in pieces, so the scaled copy never spans the song
                 for a in range(0, dst.size, _FFT_SIZE):
-                    dst[a : a + _FFT_SIZE] += value * (src[a : a + _FFT_SIZE] * gain)
+                    piece = np.multiply(src[a : a + _FFT_SIZE], gain, dtype=np.float64)
+                    dst[a : a + _FFT_SIZE] += value * piece
             else:
                 if tap != start:  # the shifted path leaves an edge unwritten
                     out[i] = 0.0
                 # in place, dst is src: each sample is read before it is written
-                np.multiply(src, gain, out=dst)
+                np.multiply(src, gain, out=dst, dtype=np.float64)
                 dst *= value
                 written = True
         if not written:
@@ -341,6 +354,7 @@ def _overlap_add(
         if segment.shape[1] < hop:  # the last, partial block
             segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
         frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
+        frames = frames.astype(np.float64, copy=False)  # a float32 input's rfft is complex64
         if gain != 1.0:  # x * 1.0 is x, so the copy would change nothing
             frames = frames * gain
         x = np.fft.rfft(frames, size)
@@ -398,9 +412,11 @@ def read_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE file (PCM 16/24/32-bit or IEEE float32, plain or
     WAVE_FORMAT_EXTENSIBLE).
 
-    Integer samples are scaled to floats by 1 / 2^(bits-1). Chunks other
-    than fmt/data are skipped. Samples are decoded straight from the file's
-    bytes, without copying the data chunk first.
+    Integer samples are scaled to floats by 1 / 2^(bits-1). PCM-16, PCM-24
+    and float32 samples are exact in float32 and come back as float32;
+    PCM-32 comes back as float64. Chunks other than fmt/data are skipped.
+    Samples are decoded straight from the file's bytes, without copying the
+    data chunk first.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -457,15 +473,17 @@ def read_wav(path) -> AudioBuffer:
         # early; the arithmetic shift drops that stray byte (a header byte
         # for the first sample, start >= 20) and sign-extends 24 -> 32 bit
         codes = np.ndarray((count,), "<i4", buffer=raw, offset=start - 1, strides=(3,)) >> 8
-        flat = codes / 2.0**23
-    elif tag == _WAVE_FORMAT_PCM:
-        flat = np.frombuffer(raw, f"<i{bits // 8}", count, start) / 2.0 ** (bits - 1)
+        flat = np.multiply(codes, np.float32(2.0**-23), dtype=np.float32)
+    elif bits == 16:
+        codes = np.frombuffer(raw, "<i2", count, start)
+        flat = np.multiply(codes, np.float32(2.0**-15), dtype=np.float32)
+    elif tag == _WAVE_FORMAT_PCM:  # 32-bit codes need more digits than a float32 holds
+        flat = np.frombuffer(raw, "<i4", count, start) / 2.0**31
     else:
         flat = np.frombuffer(raw, "<f4", count, start)
-        # checked before widening: casting a signalling NaN raises FE_INVALID
+        # checked here, so that the error names the file
         if not np.all(np.isfinite(flat)):
             raise WavReadError(f"{path}: float samples contain NaN or Inf")
-        flat = flat.astype(np.float64)
 
     samples = flat.reshape(n_frames, channels).T
     return AudioBuffer(samples, int(rate))
@@ -518,7 +536,7 @@ def write_wav(buffer: AudioBuffer, path, fmt: WavFormat | None = None) -> None:
         tag, bits = _WAVE_FORMAT_PCM, 16 if fmt.bit_depth == PCM_16 else 24
         # one interleaved copy at full scale, rounded and saturated in place; the
         # low bits // 8 bytes of each little-endian int32 are the same code
-        codes = np.multiply(buffer.samples.T, 2.0 ** (bits - 1), order="C")
+        codes = np.multiply(buffer.samples.T, 2.0 ** (bits - 1), order="C", dtype=np.float64)
         np.clip(np.rint(codes, out=codes), -(2.0 ** (bits - 1)), 2.0 ** (bits - 1) - 1, out=codes)
         codes = codes.astype("<i4").view(np.uint8).reshape(-1, 4)
         payload = np.ascontiguousarray(codes[:, : bits // 8])

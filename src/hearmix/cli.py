@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failure, 2 bad arguments/fatal input errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,6 +38,30 @@ EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
 
+# the flag that sets each library field, for errors that name the field
+_ENHANCE_FLAGS = {
+    "threshold_db": "--comp-threshold",
+    "ratio": "--comp-ratio",
+    "attack_ms": "--comp-attack",
+    "release_ms": "--comp-release",
+    "n_taps": "--taps",
+}
+_SEGMENTS_FLAGS = {"ratio_threshold": "--threshold"}
+
+
+@contextlib.contextmanager
+def _naming_flags(flags: dict[str, str]):
+    """Re-raise a ValueError whose message starts with a field in ``flags``
+    with the flag that sets it in the field's place."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        raise ValueError(f"{flags[field]} {rest}") from None
+
+
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -48,18 +73,19 @@ def _options_from_args(args) -> EnhanceOptions:
             weights = tuple(float(w) for w in args.weights.split(","))
         except ValueError:
             raise ValueError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
-    return EnhanceOptions(
-        use_residual=not args.no_residual,
-        use_compressor_heuristic=not args.no_compressor,
-        ensemble_weights=weights,
-        n_taps=args.taps,
-        compressor=CompressorParams(
-            threshold_db=args.comp_threshold,
-            ratio=args.comp_ratio,
-            attack_ms=args.comp_attack,
-            release_ms=args.comp_release,
-        ),
-    )
+    with _naming_flags(_ENHANCE_FLAGS):
+        return EnhanceOptions(
+            use_residual=not args.no_residual,
+            use_compressor_heuristic=not args.no_compressor,
+            ensemble_weights=weights,
+            n_taps=args.taps,
+            compressor=CompressorParams(
+                threshold_db=args.comp_threshold,
+                ratio=args.comp_ratio,
+                attack_ms=args.comp_attack,
+                release_ms=args.comp_release,
+            ),
+        )
 
 
 def _cmd_enhance(args) -> int:
@@ -120,7 +146,8 @@ def _cmd_segments(args) -> int:
     frames = int(round(args.seconds * stems.sample_rate))
     if frames < 1:
         raise ValueError(f"--seconds {args.seconds} is under one frame at {stems.sample_rate} Hz")
-    segments = salient_segments(stems, args.track, frames, args.threshold)
+    with _naming_flags(_SEGMENTS_FLAGS):
+        segments = salient_segments(stems, args.track, frames, args.threshold)
     _write_json(
         args.report,
         {

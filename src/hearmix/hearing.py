@@ -267,7 +267,7 @@ def apply_fir(signal: AudioBuffer, fir: FirFilter | Sequence[FirFilter]) -> Audi
             raise ValueError(
                 f"filter rate {f.sample_rate} != signal rate {signal.sample_rate}"
             )
-    out = np.empty_like(signal.samples)
+    out = np.empty_like(signal.samples, dtype=np.float64)
     for ch, f in enumerate(firs):
         _convolve_into(
             out[ch : ch + 1], signal.samples[ch : ch + 1], f.taps[np.newaxis, np.newaxis], f.delay

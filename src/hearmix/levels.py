@@ -84,8 +84,9 @@ class CompressorParams:
                 raise ValueError(f"{name} must be finite, got {value!r}") from None
         if self.ratio < 1.0:
             raise ValueError(f"ratio must be >= 1, got {self.ratio}")
-        if self.attack_ms <= 0.0 or self.release_ms <= 0.0:
-            raise ValueError("attack and release must be positive")
+        for name in ("attack_ms", "release_ms"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def _k_weighting_sos(sample_rate: int) -> np.ndarray:
@@ -204,7 +205,7 @@ def _integrated_lufs(samples: np.ndarray, sample_rate: int) -> float | None:
 
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
     """Scale a buffer by one scalar so its loudness matches the target."""
-    out = buffer.samples.copy(order="K")
+    out = buffer.samples.astype(np.float64, order="K")
     out *= _normalizing_gain(out, buffer.sample_rate, target_lufs)
     return buffer.with_samples(out)
 
@@ -387,7 +388,7 @@ def compress(buffer: AudioBuffer, params: CompressorParams | None = None) -> Aud
     one-pole attack/release and applied identically to every channel,
     followed by the safety clip.
     """
-    out = buffer.samples.copy(order="K")
+    out = buffer.samples.astype(np.float64, order="K")
     _compress_in_place(out, buffer.sample_rate, params or CompressorParams())
     return buffer.with_samples(out)
 

@@ -40,16 +40,18 @@ def sdr(reference: AudioBuffer, estimate: AudioBuffer) -> SdrScore:
 
 def _powers(reference: np.ndarray, estimate: np.ndarray) -> tuple[float, float]:
     """The summed squares of ``reference`` and of ``reference - estimate``,
-    span by span of the front end's walk through one span of scratch."""
+    span by span of the front end's walk through one span of float64
+    scratch: each span of the reference is copied into it, its squares
+    summed, then the estimate subtracted in place."""
     ref_power = err_power = 0.0
     n_frames = reference.shape[1]
     span = _song_span(n_frames)
-    scratch = np.empty_like(reference[:, :span])
+    scratch = np.empty_like(reference[:, :span], dtype=np.float64)
     for frames in _chunks(n_frames, span):
-        r = reference[:, frames]
-        ref_power += float(np.einsum("ij,ij->", r, r))
         x = scratch[:, : frames.stop - frames.start]
-        np.subtract(r, estimate[:, frames], out=x)
+        x[...] = reference[:, frames]
+        ref_power += float(np.einsum("ij,ij->", x, x))
+        x -= estimate[:, frames]
         err_power += float(np.einsum("ij,ij->", x, x))
     return ref_power, err_power
 

@@ -58,7 +58,7 @@ def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer
             f"kernel rate {kernel.sample_rate} != signal rate {buffer.sample_rate}"
         )
     paths = np.array([[kernel.h_ll, kernel.h_rl], [kernel.h_lr, kernel.h_rr]])
-    received = np.empty_like(buffer.samples)
+    received = np.empty_like(buffer.samples, dtype=np.float64)
     _convolve_into(received, buffer.samples, paths, 0)
     return buffer.with_samples(received)
 

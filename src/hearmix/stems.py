@@ -124,7 +124,7 @@ class NoisyOracleStemProvider:
         noisy = {}
         for name in TRACK_NAMES:
             clean = self._stems.track(name)
-            power = float(np.mean(clean.samples**2))
+            power = float(np.mean(np.square(clean.samples, dtype=np.float64)))
             if power == 0.0:
                 noisy[name] = clean
                 continue
@@ -225,9 +225,9 @@ def _ensemble_weights(
 def compute_residual(mix: AudioBuffer, stems: StemSet) -> AudioBuffer:
     """Mixture minus the predicted vocals, drums, and bass."""
     ensure_aligned(mix, stems.vocals, what="mix and stems")
-    residual = (
-        mix.samples - stems.vocals.samples - stems.drums.samples - stems.bass.samples
-    )
+    residual = np.subtract(mix.samples, stems.vocals.samples, dtype=np.float64)
+    residual -= stems.drums.samples
+    residual -= stems.bass.samples
     return mix.with_samples(residual)
 
 
@@ -238,7 +238,7 @@ def blend_other(predicted_other: AudioBuffer, residual: AudioBuffer) -> AudioBuf
     bit outside the subnormal range, with one song-sized array instead of two.
     """
     ensure_aligned(predicted_other, residual, what="predicted other and residual")
-    blended = predicted_other.samples + residual.samples
+    blended = np.add(predicted_other.samples, residual.samples, dtype=np.float64)
     blended *= 0.5
     return predicted_other.with_samples(blended)
 
@@ -263,7 +263,7 @@ def salient_segments(
     segment_frames = _positive_integer(segment_frames, "segment_frames")
     ratio_threshold = _finite_number(ratio_threshold, "ratio_threshold")
     if not 0.0 <= ratio_threshold <= 1.0:
-        raise ValueError("ratio_threshold must be in [0, 1]")
+        raise ValueError(f"ratio_threshold must be in [0, 1], got {ratio_threshold}")
 
     n_windows = stems.n_frames // segment_frames
     # each track squared a span at a time into one span of scratch
@@ -277,7 +277,7 @@ def salient_segments(
         energies[name] = energy = np.zeros(n_windows)
         for frames in _chunks(end, span):
             square = scratch[:, : frames.stop - frames.start]
-            np.multiply(samples[:, frames], samples[:, frames], out=square)
+            np.multiply(samples[:, frames], samples[:, frames], out=square, dtype=np.float64)
             _add_segment_sums(energy, edges, frames, square)
 
     total = sum(energies.values())

@@ -155,6 +155,50 @@ class TestAudioBuffer:
     def test_duration(self):
         assert make_buffer(np.zeros((2, 44100))).duration == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float32_is_kept_as_it_is(self, rng, order):
+        samples = np.array(rng.normal(0.0, 0.3, (2, 100)), dtype=np.float32, order=order)
+        buf = AudioBuffer(samples, 44100)
+        assert buf.samples.dtype == np.float32
+        assert np.shares_memory(buf.samples, samples)
+        assert_read_only(buf)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.array([[1, -2, 3]], dtype=np.int16),
+            np.array([[1, 2, 3]], dtype=np.uint8),
+            np.array([[0.5, -0.25, 1.5]], dtype=np.float16),
+            np.array([[0.5, -0.25, 1.5]], dtype=">f4"),
+            [[1, 2, 3]],
+            [0.5, -0.25, 1.5],
+        ],
+        ids=["int16", "uint8", "float16", "big_endian_float32", "int_list", "float_list"],
+    )
+    def test_other_real_samples_widen_to_float64(self, samples):
+        buf = AudioBuffer(samples, 44100)
+        assert buf.samples.dtype == np.float64
+        np.testing.assert_array_equal(buf.samples, np.atleast_2d(np.asarray(samples, np.float64)))
+
+    def test_float64_is_not_copied(self, rng):
+        samples = rng.normal(0.0, 0.3, (2, 100))
+        assert np.shares_memory(AudioBuffer(samples, 44100).samples, samples)
+
+    @pytest.mark.parametrize(
+        "samples, dtype",
+        [
+            (np.array([[0.5 + 0.5j, 1.0]]), "complex128"),
+            (np.array([[0.5, 1.0]], dtype=np.complex64), "complex64"),
+            (np.array([[True, False]]), "bool"),
+            (np.array([["0.5", "1"]]), "<U3"),
+            (np.array([[0.5, None]], dtype=object), "object"),
+        ],
+        ids=["complex128", "complex64", "bool", "str", "object"],
+    )
+    def test_rejects_samples_that_are_not_real_numbers(self, samples, dtype):
+        with pytest.raises(ValueError, match=rf"^samples must be real numbers, got dtype {dtype}$"):
+            AudioBuffer(samples, 44100)
+
 
 def _kernel(rng, kind: str, taps: int = 141) -> np.ndarray:
     """A symmetric (1, 1, taps) kernel: dense, one centred tap, or all zero."""
@@ -425,6 +469,32 @@ class TestWavFormats:
             scale = 2.0**31  # scipy scales 24-bit into int32
         decoded = data.astype(np.float64).reshape(100, channels).T / scale
         np.testing.assert_array_equal(out.samples, decoded)
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    @pytest.mark.parametrize(
+        "tag, bits, dtype",
+        [
+            (PCM, 16, np.float32),
+            (PCM, 24, np.float32),
+            (IEEE_FLOAT, 32, np.float32),
+            (PCM, 32, np.float64),
+        ],
+        ids=["pcm16", "pcm24", "float32", "pcm32"],
+    )
+    def test_decodes_at_file_precision(self, tmp_path, rng, tag, bits, dtype, extensible):
+        samples = rng.uniform(-1.2, 1.2, (2, 300))
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(samples, tag, bits, extensible))
+        out = read_wav(path)
+        assert out.samples.dtype == dtype
+        # the float64 decode: codes scaled by 2^-(bits-1), or float32 widened
+        _, data = wavfile.read(path)
+        if tag == IEEE_FLOAT:
+            want = data.astype(np.float64)
+        else:
+            codes = data.astype(np.float64) / (2.0**8 if bits == 24 else 1.0)  # scipy left-justifies 24 bits
+            want = codes / 2.0 ** (bits - 1)
+        np.testing.assert_array_equal(out.samples, want.T)
 
     def test_pcm32_reads_scaled_by_two_to_minus_31(self, tmp_path):
         codes = np.array([-(2**31), 2**31 - 1, -1, 0, 1, 123456789], dtype="<i4")

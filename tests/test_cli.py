@@ -115,7 +115,7 @@ class TestEnhanceCommand:
             ]
         )
         assert rc == EXIT_FAILURE
-        assert "attack_ms must be finite" in capsys.readouterr().err
+        assert "ValueError: --comp-attack must be finite, got nan" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
     @pytest.mark.parametrize("taps", ["64", "63", "1"])
@@ -137,7 +137,35 @@ class TestEnhanceCommand:
             ]
         )
         assert rc == EXIT_FAILURE
-        assert "ValueError: n_taps must be " in capsys.readouterr().err
+        assert "ValueError: --taps must be " in capsys.readouterr().err
+        assert not (song / "enhanced.wav").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--comp-threshold", "inf", "--comp-threshold must be finite, got inf"),
+            ("--comp-ratio", "0.5", "--comp-ratio must be >= 1, got 0.5"),
+            ("--comp-attack", "0", "--comp-attack must be positive, got 0.0"),
+            ("--comp-release", "nan", "--comp-release must be finite, got nan"),
+            ("--comp-release", "-1", "--comp-release must be positive, got -1.0"),
+            ("--taps", "4", "--taps must be odd, got 4"),
+            ("--taps", "63", "--taps must be >= 65, got 63"),
+        ],
+    )
+    def test_bad_flag_value_fails_naming_the_flag(self, song, capsys, flag, value, message):
+        rc = main(
+            [
+                "enhance",
+                "--mix", str(song / "mix.wav"),
+                "--stems", str(song / "stems"),
+                "--gains", str(song / "gains.json"),
+                "--listener", str(song / "listener.json"),
+                "--out", str(song / "enhanced.wav"),
+                flag, value,
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not (song / "enhanced.wav").exists()
 
     def test_weights_whose_sum_overflows_fail_without_output(self, song, capsys):
@@ -333,6 +361,28 @@ class TestSegmentsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: --seconds must be a positive finite number")
         assert not (tmp_path / "segments.json").exists()
+
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            ("nan", "--threshold must be a finite number, got nan"),
+            ("2", "--threshold must be in [0, 1], got 2.0"),
+            ("-0.5", "--threshold must be in [0, 1], got -0.5"),
+        ],
+    )
+    def test_bad_threshold_fails_naming_the_flag(self, song, capsys, threshold, message):
+        rc = main(
+            [
+                "segments",
+                "--stems", str(song / "stems"),
+                "--track", "drums",
+                "--threshold", threshold,
+                "--report", str(song / "segments.json"),
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (song / "segments.json").exists()
 
     def test_seconds_shorter_than_a_frame_rejected(self, song, capsys):
         rc = main(
