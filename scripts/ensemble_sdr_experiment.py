@@ -44,42 +44,51 @@ def synth_stems(rng, seconds, rate):
     return StemSet(**stems)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--snr-db", type=float, default=10.0)
-    parser.add_argument("--seconds", type=float, default=0.5)
-    parser.add_argument("--max-k", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
+def gain_table(trials=20, snr_db=10.0, seconds=0.5, max_k=6, seed=0):
+    """Rows ``(k, predicted, gains)`` for k = 1 .. max_k: the predicted
+    10*log10(k) dB and each track's measured mean SDR gain, in
+    ``TRACK_NAMES`` order, of averaging k members over one member."""
     rate = 44100
-    gains = {k: {name: [] for name in TRACK_NAMES} for k in range(1, args.max_k + 1)}
-    for trial in range(args.trials):
-        rng = np.random.default_rng(args.seed + trial)
-        truth = synth_stems(rng, args.seconds, rate)
+    gains = {k: {name: [] for name in TRACK_NAMES} for k in range(1, max_k + 1)}
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        truth = synth_stems(rng, seconds, rate)
         members = [
-            NoisyOracleStemProvider(
-                truth, args.snr_db, seed=args.seed + 1000 * trial + k
-            ).stems()
-            for k in range(args.max_k)
+            NoisyOracleStemProvider(truth, snr_db, seed=seed + 1000 * trial + k).stems()
+            for k in range(max_k)
         ]
         base = {
             name: np.mean([sdr(truth.track(name), m.track(name)).value for m in members])
             for name in TRACK_NAMES
         }
-        for k in range(1, args.max_k + 1):
+        for k in range(1, max_k + 1):
             averaged = ensemble_average(members[:k])
             for name in TRACK_NAMES:
                 combined = sdr(truth.track(name), averaged.track(name)).value
                 gains[k][name].append(combined - base[name])
+    return [
+        (k, 10 * np.log10(k), [np.mean(gains[k][name]) for name in TRACK_NAMES])
+        for k in range(1, max_k + 1)
+    ]
+
+
+def main(argv=None):
+    # options left out keep gain_table's defaults
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS
+    )
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--snr-db", type=float)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--max-k", type=int)
+    parser.add_argument("--seed", type=int)
+    rows = gain_table(**vars(parser.parse_args(argv)))
 
     header = f"{'K':>3} {'predicted':>10} " + " ".join(f"{name:>8}" for name in TRACK_NAMES)
     print(header)
     print("-" * len(header))
-    for k in range(1, args.max_k + 1):
-        predicted = 10 * np.log10(k)
-        row = " ".join(f"{np.mean(gains[k][name]):8.2f}" for name in TRACK_NAMES)
+    for k, predicted, gains in rows:
+        row = " ".join(f"{gain:8.2f}" for gain in gains)
         print(f"{k:>3} {predicted:>10.2f} {row}")
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import freqz
 
-from .audio import AudioBuffer, _convolve_into, _finite_number, _read_json
+from .audio import AudioBuffer, _convolve_into, _finite_number, _positive_integer, _read_json
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -141,6 +141,7 @@ class FirFilter:
         if np.max(np.abs(taps - taps[::-1])) > 1e-12:
             raise ValueError("taps must be symmetric (linear phase)")
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "sample_rate", _positive_integer(self.sample_rate, "sample_rate"))
 
     @property
     def delay(self) -> int:
@@ -219,6 +220,7 @@ def design_nalr_fir(
     at 141 taps / 44.1 kHz the anchors come out well inside 1 dB. Anchor
     frequencies follow an audiogram's rule: finite, positive, ascending.
     """
+    sample_rate = _positive_integer(sample_rate, "sample_rate")
     _check_n_taps(n_taps)
     anchors = np.asarray(frequencies, dtype=np.float64)
     gains = np.asarray(gains_db, dtype=np.float64)

@@ -9,6 +9,7 @@ noise for controlled experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -100,7 +101,9 @@ class NoisyOracleStemProvider:
 
     ``snr_db`` is measured against each track's own power; a silent track
     stays silent. It is a finite number or a map of exactly the four tracks
-    to finite numbers. The seed, a non-negative integer, is mandatory so
+    to finite numbers, each with a power ratio ``10 ** (snr_db / 10)``
+    that is a positive finite float. A track whose noise power overflows
+    fails in ``stems``. The seed, a non-negative integer, is mandatory so
     ensemble experiments reproduce. Booleans are neither.
     """
 
@@ -112,9 +115,13 @@ class NoisyOracleStemProvider:
                     f"snr_db map must name exactly the tracks {list(TRACK_NAMES)}, "
                     f"got {sorted(map(str, snr_db))}"
                 )
-            self._snr = {name: _finite_number(snr_db[name], f"snr_db.{name}") for name in TRACK_NAMES}
+            fields = {name: (snr_db[name], f"snr_db.{name}") for name in TRACK_NAMES}
         else:
-            self._snr = dict.fromkeys(TRACK_NAMES, _finite_number(snr_db, "snr_db"))
+            fields = dict.fromkeys(TRACK_NAMES, (snr_db, "snr_db"))
+        # each track's power ratio and the field that set it
+        self._snr = {
+            name: (_power_ratio(value, field), field) for name, (value, field) in fields.items()
+        }
         if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self._seed = int(seed)
@@ -124,14 +131,34 @@ class NoisyOracleStemProvider:
         noisy = {}
         for name in TRACK_NAMES:
             clean = self._stems.track(name)
-            power = float(np.mean(np.square(clean.samples, dtype=np.float64)))
+            with np.errstate(over="ignore"):  # an infinite power fails below
+                power = float(np.mean(np.square(clean.samples, dtype=np.float64)))
             if power == 0.0:
                 noisy[name] = clean
                 continue
-            noise_power = power / 10.0 ** (self._snr[name] / 10.0)
+            ratio, field = self._snr[name]
+            noise_power = power / ratio
+            if noise_power == math.inf:
+                raise ValueError(f"{field} makes the {name} track's noise power overflow float64")
             noise = rng.normal(0.0, np.sqrt(noise_power), clean.samples.shape)
             noisy[name] = clean.with_samples(clean.samples + noise)
         return StemSet(**noisy)
+
+
+def _power_ratio(snr_db, field: str) -> float:
+    """``10 ** (snr_db / 10)`` when it is a positive finite float, or a
+    ValueError naming ``field``."""
+    snr = _finite_number(snr_db, field)
+    try:
+        ratio = 10.0 ** (snr / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"{field} must have a power ratio 10 ** ({field} / 10) that is a positive "
+            f"finite float, got {snr!r}"
+        )
+    return ratio
 
 
 def provider_from_spec(spec, base_dir) -> DirectoryStemProvider | NoisyOracleStemProvider:

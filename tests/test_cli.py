@@ -39,18 +39,19 @@ def song(tmp_path, rng):
     return tmp_path
 
 
+def _enhance(song, *flags, mix="mix.wav", gains="gains.json", separators=1):
+    """Exit code of ``enhance`` on the song's files, with its stem folder
+    given ``separators`` times, writing ``enhanced.wav``."""
+    stems = ["--stems", str(song / "stems")] * separators
+    return main(
+        ["enhance", "--mix", str(song / mix), *stems, "--gains", str(song / gains),
+         "--listener", str(song / "listener.json"), "--out", str(song / "enhanced.wav"), *flags]
+    )
+
+
 class TestEnhanceCommand:
     def test_end_to_end(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-            ]
-        )
+        rc = _enhance(song)
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["schema_version"] == 2
@@ -74,24 +75,10 @@ class TestEnhanceCommand:
         assert read_wav(song / "new_dir" / "x.wav").channels == 2
 
     def test_flags_reach_options(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                "--no-residual",
-                "--no-compressor",
-                "--weights", "1,3",
-                "--taps", "201",
-                "--comp-threshold", "-9",
-                "--comp-ratio", "4",
-                "--comp-attack", "2",
-                "--comp-release", "50",
-            ]
+        rc = _enhance(
+            song, "--no-residual", "--no-compressor", "--weights", "1,3", "--taps", "201",
+            "--comp-threshold", "-9", "--comp-ratio", "4", "--comp-attack", "2",
+            "--comp-release", "50", separators=2,
         )
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -103,17 +90,7 @@ class TestEnhanceCommand:
         assert "residual" not in report["stages"]
 
     def test_nan_compressor_flag_fails_before_the_chain(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                "--comp-attack", "nan",
-            ]
-        )
+        rc = _enhance(song, "--comp-attack", "nan")
         assert rc == EXIT_FAILURE
         assert "ValueError: --comp-attack must be finite, got nan" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
@@ -125,17 +102,7 @@ class TestEnhanceCommand:
 
         for module in (cli, pipeline, stems_module):
             monkeypatch.setattr(module, "read_wav", no_read)
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                "--taps", taps,
-            ]
-        )
+        rc = _enhance(song, "--taps", taps)
         assert rc == EXIT_FAILURE
         assert "ValueError: --taps must be " in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
@@ -153,51 +120,19 @@ class TestEnhanceCommand:
         ],
     )
     def test_bad_flag_value_fails_naming_the_flag(self, song, capsys, flag, value, message):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                flag, value,
-            ]
-        )
+        rc = _enhance(song, flag, value)
         assert rc == EXIT_FAILURE
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not (song / "enhanced.wav").exists()
 
     def test_weights_whose_sum_overflows_fail_without_output(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                "--weights", "1e308,1e308",
-            ]
-        )
+        rc = _enhance(song, "--weights", "1e308,1e308", separators=2)
         assert rc == EXIT_FAILURE
         assert "ensemble weights must have a finite sum" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
     def test_weights_that_are_not_numbers_fail_naming_the_flag(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-                "--weights", "1,,2",
-            ]
-        )
+        rc = _enhance(song, "--weights", "1,,2", separators=2)
         assert rc == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: --weights must be comma-separated numbers, got '1,,2'")
@@ -205,16 +140,7 @@ class TestEnhanceCommand:
 
     def test_gain_with_overflowing_linear_factor_fails_naming_the_file(self, song, capsys):
         gains = write_gains_file(song / "loud_gains.json", drums=7000)
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "mix.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(gains),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-            ]
-        )
+        rc = _enhance(song, gains=gains)
         assert rc == EXIT_FAILURE
         assert capsys.readouterr().err.startswith(f"error: ValueError: {gains}: drums gain")
         assert not (song / "enhanced.wav").exists()
@@ -227,18 +153,10 @@ class TestEnhanceCommand:
         assert _options_from_args(args).compressor == CompressorParams()
 
     def test_missing_file_fails_cleanly(self, song, capsys):
-        rc = main(
-            [
-                "enhance",
-                "--mix", str(song / "nope.wav"),
-                "--stems", str(song / "stems"),
-                "--gains", str(song / "gains.json"),
-                "--listener", str(song / "listener.json"),
-                "--out", str(song / "enhanced.wav"),
-            ]
-        )
+        rc = _enhance(song, mix="nope.wav")
         assert rc == EXIT_FAILURE
-        assert "error" in capsys.readouterr().err
+        first = capsys.readouterr().err.splitlines()[0]
+        assert re.fullmatch(r"error: FileNotFoundError: .*nope\.wav.*", first), first
 
 
 class TestEvaluateCommand:
@@ -455,8 +373,23 @@ class TestBatchCommand:
         assert all(r["error"] is None for r in reports)
         assert _summary(capsys.readouterr().err) == (3, 0)
 
-    def test_partial_failure_exit_code(self, tmp_path, rng, capsys):
-        root = self._setup(tmp_path, rng, broken={1})
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (None, "FileNotFoundError: "),
+            (
+                {"kind": "noisy_oracle", "path": "song1/stems", "snr_db": 1e308, "seed": 1},
+                "ValueError: snr_db must have a power ratio 10 ** (snr_db / 10)",
+            ),
+        ],
+        ids=["missing_stem", "snr_ratio_overflows"],
+    )
+    def test_partial_failure_exit_code(self, tmp_path, rng, capsys, spec, error):
+        root = self._setup(tmp_path, rng, broken=set() if spec else {1})
+        if spec:
+            doc = json.loads((root / "manifest.json").read_text())
+            doc["jobs"][1]["stems"] = [spec]
+            (root / "manifest.json").write_text(json.dumps(doc))
         rc = main(
             [
                 "batch",
@@ -475,7 +408,7 @@ class TestBatchCommand:
         assert (root / "out" / "song2.wav").exists()
         err = capsys.readouterr().err
         assert "song1" in err
-        assert err.splitlines()[0].startswith("job song1 failed: FileNotFoundError: ")
+        assert err.startswith(f"job song1 failed: {error}")
         assert _summary(err) == (2, 1)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -5,12 +5,12 @@ PCM-24 and at float32, which ``read_wav`` both decodes to float32. A
 second separator's stems are the demo stems 7 frames late. Each
 subcommand runs through ``cli.main``, and its output files and reports
 (with their paths dropped) must equal the same calls made in-process on
-float64 copies of the decoded inputs.
+float64 copies of the decoded inputs. The demo lasts 4 s, the shortest
+at which its enhancement fires the compressor (at 2, 3 and 3.5 s it does not).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -22,6 +22,8 @@ from hearmix import (
     FLOAT_32,
     PCM_24,
     AudioBuffer,
+    CompressorParams,
+    EnhanceOptions,
     StemSet,
     WavFormat,
     apply_crosstalk,
@@ -35,10 +37,11 @@ from hearmix import (
     salient_segments,
     write_wav,
 )
-from hearmix.cli import EXIT_OK, main
+from hearmix.cli import EXIT_OK, EXIT_PARTIAL, main
 from hearmix.stems import TRACK_NAMES
+from util import load_script
 
-DEMO_SECONDS = 2.0
+DEMO_SECONDS = 4.0
 STEM_FOLDERS = ("stems", "late_stems")
 WAV_FILES = (
     "mix.wav",
@@ -47,19 +50,12 @@ WAV_FILES = (
 )
 
 
-def _demo_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_song.py"
-    spec = importlib.util.spec_from_file_location("make_demo_song", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
     """The demo folder, by the WAV encoding of its inputs."""
     root = tmp_path_factory.mktemp("demo")
-    _demo_script().main(["--out-dir", str(root / FLOAT_32), "--seconds", str(DEMO_SECONDS)])
+    demo_song = load_script("make_demo_song")
+    demo_song.main(["--out-dir", str(root / FLOAT_32), "--seconds", str(DEMO_SECONDS)])
     folders = {FLOAT_32: root / FLOAT_32, PCM_24: root / PCM_24}
     (folders[FLOAT_32] / "late_stems").mkdir()
     for name in TRACK_NAMES:
@@ -80,10 +76,10 @@ def demo(tmp_path_factory):
             json.dumps(
                 {
                     "jobs": [
-                        {"song_id": song_id, "mix": "mix.wav", "stems": list(STEM_FOLDERS),
-                         "gains": "gains.json", "listener": "listener.json",
-                         "out": f"batch/{song_id}.wav"}
-                        for song_id in ("a", "b")
+                        {"song_id": song_id, "mix": "mix.wav", "gains": "gains.json",
+                         "stems": ["no_stems"] if song_id == "c" else list(STEM_FOLDERS),
+                         "listener": "listener.json", "out": f"batch/{song_id}.wav"}
+                        for song_id in ("a", "b", "c")  # c fails alone
                     ]
                 }
             )
@@ -108,8 +104,8 @@ def _written(buffer: AudioBuffer, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _run(*argv) -> None:
-    assert main([str(arg) for arg in argv]) == EXIT_OK
+def _run(*argv, status=EXIT_OK) -> None:
+    assert main([str(arg) for arg in argv]) == status
 
 
 @pytest.mark.parametrize("encoding", [PCM_24, FLOAT_32])
@@ -160,12 +156,47 @@ def test_subcommands_match_float64_copies(demo, tmp_path, capsys, encoding):
         (s.start, s.energy_ratio) for s in expected
     ]
 
-    _run("batch", "--manifest", d / "batch.json", "--report", out / "batch.json", "--workers", 2)
-    capsys.readouterr()  # the batch summary
+    _run(
+        "batch", "--manifest", d / "batch.json", "--report", out / "batch.json", "--workers", 2,
+        status=EXIT_PARTIAL,
+    )
+    assert capsys.readouterr().err.startswith("job c failed: FileNotFoundError: ")
     batch = json.loads((out / "batch.json").read_text())
+    assert batch[2]["error"].startswith("FileNotFoundError: ")
+    assert not (d / "batch" / "c.wav").exists()
     for song_id, job_report in zip(("a", "b"), batch):
         enhanced, report = enhance(mix, [stems, late_stems], gains, listener, song_id=song_id)
         assert job_report == report.as_dict()
         assert (d / "batch" / f"{song_id}.wav").read_bytes() == _written(
             enhanced, tmp_path / f"{song_id}.wav"
         )
+
+
+@pytest.mark.parametrize(
+    "flags, options",
+    [
+        # equal attack and release, both coefficients underflowing to 0
+        (("--comp-attack", "1e-5", "--comp-release", "1e-5"),
+         EnhanceOptions(compressor=CompressorParams(attack_ms=1e-5, release_ms=1e-5))),
+        # unequal attack and release: the smoother solves blocks of mixed choices
+        (("--comp-attack", "0.1", "--comp-release", "1"),
+         EnhanceOptions(compressor=CompressorParams(attack_ms=0.1, release_ms=1.0))),
+        # each weight over their sum keeps every product inside float64
+        (("--weights", "1e308,1e307"), EnhanceOptions(ensemble_weights=(1e308, 1e307))),
+    ],
+    ids=["instant_compressor", "snappy_compressor", "weights_near_overflow"],
+)
+def test_enhance_flags_match_their_options(demo, tmp_path, capsys, flags, options):
+    d = demo[FLOAT_32]
+    stems = [a for folder in STEM_FOLDERS for a in ("--stems", d / folder)]
+    _run(
+        "enhance", "--mix", d / "mix.wav", *stems, "--gains", d / "gains.json",
+        "--listener", d / "listener.json", "--out", tmp_path / "cli.wav", *flags,
+    )
+    enhanced, report = enhance(
+        _widened(d / "mix.wav"), [_stems(d / folder) for folder in STEM_FOLDERS],
+        load_gains(d / "gains.json"), load_listener(d / "listener.json"), options, song_id="mix",
+    )
+    assert report.compressor_applied is True
+    assert json.loads(capsys.readouterr().out) == report.as_dict()
+    assert (tmp_path / "cli.wav").read_bytes() == _written(enhanced, tmp_path / "enhanced.wav")

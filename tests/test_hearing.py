@@ -217,6 +217,22 @@ class TestFirFilter:
     def test_delay(self):
         assert _delta_filter(141).delay == 70
 
+    MAKERS = {
+        "FirFilter": lambda rate: FirFilter(np.ones(3), rate),
+        "design_nalr_fir": lambda rate: design_nalr_fir((250.0, 4000.0), (10.0, 20.0), 141, rate),
+    }
+
+    @pytest.mark.parametrize("rate", [44100.5, 44100.0, "44100", True, 0, -44100])
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_rate_must_be_a_positive_integer(self, make, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be a positive integer"):
+            self.MAKERS[make](rate)
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_numpy_integer_rate_accepted(self, make):
+        fir = self.MAKERS[make](np.int32(44100))
+        assert type(fir.sample_rate) is int and fir.sample_rate == 44100
+
 
 class TestDesignNalrFir:
     def test_flat_60_hits_prescription_within_1db(self):

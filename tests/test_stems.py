@@ -30,6 +30,7 @@ from util import (
     SPAN_EDGES,
     assert_read_only,
     exact_mix,
+    load_script,
     make_buffer,
     peak_buffers,
     quantize,
@@ -111,6 +112,13 @@ class TestEnsembleAverage:
                 combined = sdr(truth.track(name), averaged.track(name)).value
                 gains.append(combined - individual)
         assert abs(np.mean(gains) - 6.02) < 1.0
+
+    def test_script_table_tracks_the_predicted_gain(self):
+        rows = load_script("ensemble_sdr_experiment").gain_table(trials=2, max_k=3)
+        assert [k for k, _, _ in rows] == [1, 2, 3]
+        for k, predicted, gains in rows:
+            assert len(gains) == 4
+            assert all(abs(gain - predicted) <= 0.5 for gain in gains), (k, predicted, gains)
 
     def test_one_hot_weights_select_exactly(self, rng):
         sets = [synth_stems(np.random.default_rng(i), seconds=0.05) for i in range(3)]
@@ -550,6 +558,11 @@ class TestProviders:
             ({"snr_db": float("nan")}, "snr_db must be"),
             ({"snr_db": 10**400}, "snr_db must be"),
             ({"snr_db": {"vocals": 1, "drums": 1, "bass": 1, "other": 10**400}}, r"snr_db\.other"),
+            ({"snr_db": 1e308}, r"^snr_db must have a power ratio .*, got 1e\+308$"),
+            ({"snr_db": -1e308}, r"^snr_db must have a power ratio .*, got -1e\+308$"),
+            ({"snr_db": -7000}, r"^snr_db must have a power ratio .*, got -7000\.0$"),
+            ({"snr_db": {"vocals": 1, "drums": -7000, "bass": 1, "other": 1}},
+             r"^snr_db\.drums must have a power ratio 10 \*\* \(snr_db\.drums / 10\)"),
             ({"seed": None}, "seed must be"),
             ({"seed": 1.5}, "seed must be"),
             ({"seed": 2.0}, "seed must be"),
@@ -565,6 +578,7 @@ class TestProviders:
             "map_missing_track", "map_extra_track", "map_string_value", "map_bool_value",
             "snr_null", "snr_list", "snr_bool", "snr_inf", "snr_nan",
             "snr_int_too_large", "map_int_too_large",
+            "snr_ratio_overflows", "snr_ratio_underflows", "snr_ratio_zero", "map_ratio_zero",
             "seed_null", "seed_fraction", "seed_float", "seed_bool", "seed_negative",
             "seed_string", "missing_all", "missing_snr", "missing_seed", "path_not_string",
         ],
@@ -576,6 +590,17 @@ class TestProviders:
         spec = {key: value for key, value in spec.items() if value is not DROP}
         with pytest.raises(ValueError, match=match):
             provider_from_spec(spec, tmp_path)
+
+    @pytest.mark.parametrize(
+        "peak, snr", [(1e100, -3080.0), (1e160, 10.0)], ids=["noise_power", "track_power"]
+    )
+    def test_noise_power_that_overflows_names_the_field(self, peak, snr):
+        quiet, loud = np.full((2, 100), 0.1), np.full((2, 100), peak)
+        stems = _stems_from_arrays(vocals=quiet, drums=loud, bass=quiet, other=quiet)
+        provider = NoisyOracleStemProvider(stems, dict.fromkeys(TRACK_NAMES, snr), seed=1)
+        message = r"^snr_db\.drums makes the drums track's noise power overflow float64$"
+        with pytest.raises(ValueError, match=message):
+            provider.stems()
 
     def test_noisy_oracle_accepts_numpy_scalars(self, rng):
         stems = synth_stems(rng, seconds=0.05)

@@ -7,6 +7,7 @@ float64, so mixture arithmetic identities hold bitwise.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -27,6 +28,15 @@ from hearmix import (
 
 QUANTUM = 2.0**-20
 TRACK_TONES = {"vocals": 440.0, "drums": 180.0, "bass": 80.0, "other": 1200.0}
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, which is not a package."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def quantize(x: np.ndarray) -> np.ndarray:
