@@ -269,26 +269,24 @@ def _weighted_sum(
     return out
 
 
-def _convolve_into(
-    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, start: int, gain: float = 1.0
-) -> None:
-    """Write ``out[i] = sum_j ((gain * inputs[j]) * kernels[i, j])[start : start + n]``,
+@np.errstate(over="ignore", invalid="ignore")
+def _convolve_into(out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, start: int) -> None:
+    """Write ``out[i] = sum_j (inputs[j] * kernels[i, j])[start : start + n]``,
     where ``*`` is full linear convolution and n the input length.
 
     ``inputs`` is (n_in, n), ``kernels`` (n_out, n_in, taps) and ``out``
-    (n_out, n). ``gain`` scales each input sample before anything else
-    reads it, the same multiply as ``inputs * gain``. Only the taps that can
-    reach an output sample count. A path with no nonzero tap among them adds
-    nothing; a path with exactly one is an exact scaled shift; every other
-    path goes through a blocked FFT overlap-add (Oppenheim & Schafer,
-    *Discrete-Time Signal Processing*, 8.7) that writes each chunk of the
-    output in place.
+    (n_out, n). Only the taps that can reach an output sample count. A path
+    with no nonzero tap among them adds nothing; a path with exactly one is
+    an exact scaled shift; every other path goes through a blocked FFT
+    overlap-add (Oppenheim & Schafer, *Discrete-Time Signal Processing*,
+    8.7) that writes each chunk of the output in place.
 
     ``out`` either shares no memory with ``inputs`` or is ``inputs`` itself,
     one row filtered in place. In place, each block of input is read and
     transformed before any of its outputs are written, and writes trail
     reads by ``start`` samples, so a one-tap path must sit at ``start``, as
-    the centre tap of a symmetric filter does.
+    the centre tap of a symmetric filter does. An output beyond float64 is
+    left Inf or NaN, without a warning, for the caller's buffer to reject.
     """
     in_place = out is inputs
     if in_place and out.shape[0] != 1:
@@ -300,7 +298,7 @@ def _convolve_into(
     nonzero = np.count_nonzero(kernels, axis=2)
     fft = nonzero > 1
     if fft.any():
-        _overlap_add(out, inputs, kernels, fft, start, gain)
+        _overlap_add(out, inputs, kernels, fft, start)
     for i in range(out.shape[0]):
         written = bool(fft[i].any())
         for j in np.flatnonzero(nonzero[i] == 1):
@@ -312,34 +310,27 @@ def _convolve_into(
             dst = out[i, max(0, tap - start) : min(n, n + tap - start)]
             src = inputs[j, max(0, start - tap) : min(n, n + start - tap)]
             if written:
-                # in pieces, so the scaled copy never spans the song
+                # in pieces, so the product never spans the song
                 for a in range(0, dst.size, _FFT_SIZE):
-                    piece = np.multiply(src[a : a + _FFT_SIZE], gain, dtype=np.float64)
-                    dst[a : a + _FFT_SIZE] += value * piece
+                    piece = np.multiply(src[a : a + _FFT_SIZE], value, dtype=np.float64)
+                    dst[a : a + _FFT_SIZE] += piece
             else:
                 if tap != start:  # the shifted path leaves an edge unwritten
                     out[i] = 0.0
                 # in place, dst is src: each sample is read before it is written
-                np.multiply(src, gain, out=dst, dtype=np.float64)
-                dst *= value
+                np.multiply(src, value, out=dst, dtype=np.float64)
                 written = True
         if not written:
             out[i] = 0.0
 
 
 def _overlap_add(
-    out: np.ndarray,
-    inputs: np.ndarray,
-    kernels: np.ndarray,
-    paths: np.ndarray,
-    start: int,
-    gain: float,
+    out: np.ndarray, inputs: np.ndarray, kernels: np.ndarray, paths: np.ndarray, start: int
 ) -> None:
     """``_convolve_into`` by FFT over the paths ``(i, j)`` where ``paths``
     is true, for the outputs that have any; the others are left untouched.
-    Each chunk of input blocks is scaled and transformed once, before any
-    output of that chunk is written, and each output's chunk
-    inverse-transformed once."""
+    Each chunk of input blocks is transformed once, before any output of
+    that chunk is written, and each output's chunk inverse-transformed once."""
     n = inputs.shape[1]
     taps = kernels.shape[2]
     size = max(_FFT_SIZE, 1 << (2 * taps - 2).bit_length())  # >= 2 * taps - 1
@@ -355,8 +346,6 @@ def _overlap_add(
             segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
         frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
         frames = frames.astype(np.float64, copy=False)  # a float32 input's rfft is complex64
-        if gain != 1.0:  # x * 1.0 is x, so the copy would change nothing
-            frames = frames * gain
         x = np.fft.rfft(frames, size)
         for i, js in reads.items():
             acc = x[js[0]] * spectra[i, js[0]]

@@ -204,6 +204,7 @@ def _check_n_taps(n_taps) -> None:
         raise ValueError(f"n_taps must be >= 65, got {n_taps}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def design_nalr_fir(
     frequencies: Sequence[float],
     gains_db: Sequence[float],
@@ -219,6 +220,8 @@ def design_nalr_fir(
     pre-corrected until the measured response lands on the prescription;
     at 141 taps / 44.1 kHz the anchors come out well inside 1 dB. Anchor
     frequencies follow an audiogram's rule: finite, positive, ascending.
+    Gains too large for float64 leave the taps Inf or NaN, which the
+    filter rejects.
     """
     sample_rate = _positive_integer(sample_rate, "sample_rate")
     _check_n_taps(n_taps)
@@ -238,6 +241,11 @@ def design_nalr_fir(
 
     nyquist = sample_rate / 2.0
     correctable = anchors < 0.95 * nyquist  # anchors at Nyquist can't be matched
+    if not correctable.any():
+        raise ValueError(
+            f"sample_rate {sample_rate} Hz has no anchor below 0.95 x Nyquist "
+            f"({0.95 * nyquist:g} Hz); the lowest is {anchors[0]:g} Hz"
+        )
     n_grid = 1 + 2 ** int(np.ceil(np.log2(max(8 * n_taps, 1024))))
     grid_hz = np.linspace(0.0, nyquist, n_grid)
 
@@ -283,20 +291,18 @@ def nalr_process(
     """Apply each ear's NAL-R prescription to its channel of a stereo signal."""
     if buffer.channels != 2:
         raise ValueError(f"NAL-R processing needs stereo input, got {buffer.channels} channel(s)")
-    ears = (listener.left, listener.right)
-    return apply_fir(buffer, [_nalr_fir(ear, n_taps, buffer.sample_rate) for ear in ears])
+    out = buffer.samples.astype(np.float64, order="K")
+    _nalr_in_place(out, buffer.sample_rate, listener, n_taps)
+    return buffer.with_samples(out)
 
 
-def _nalr_in_place(
-    samples: np.ndarray, sample_rate: int, listener: Listener, n_taps: int, gain: float
-) -> None:
-    """``nalr_process`` of the stereo signal ``samples * gain``, written over
-    ``samples``: each ear's filter runs in place on its channel and scales
-    each block of input by ``gain`` before filtering it."""
+def _nalr_in_place(samples: np.ndarray, sample_rate: int, listener: Listener, n_taps: int) -> None:
+    """``nalr_process`` written over float64 stereo ``samples``: each ear's
+    filter runs in place on its channel."""
     for ch, ear in enumerate((listener.left, listener.right)):
         fir = _nalr_fir(ear, n_taps, sample_rate)
         row = samples[ch : ch + 1]
-        _convolve_into(row, row, fir.taps[np.newaxis, np.newaxis], fir.delay, gain)
+        _convolve_into(row, row, fir.taps[np.newaxis, np.newaxis], fir.delay)
 
 
 @functools.lru_cache(maxsize=_NALR_CACHE_SIZE)

@@ -174,12 +174,14 @@ def _measure(samples: np.ndarray, sample_rate: int) -> tuple[np.ndarray | None, 
     return _block_powers(samples, sample_rate, exponent), exponent
 
 
-def _gated_lufs(block_power: np.ndarray | None) -> float | None:
-    """Absolute then relative gating of block powers; None when all gated out."""
+@np.errstate(divide="ignore")
+def _gated_lufs(block_power: np.ndarray | None, gate: float = _ABSOLUTE_GATE_LUFS) -> float | None:
+    """Absolute (at ``gate`` LUFS) then relative gating of block powers;
+    None when all gated out. A silent block's -inf LUFS is below any gate."""
     if block_power is None:
         return None
-    block_lufs = _LOUDNESS_OFFSET + 10.0 * np.log10(np.maximum(block_power, 1e-30))
-    kept = block_lufs > _ABSOLUTE_GATE_LUFS
+    block_lufs = _LOUDNESS_OFFSET + 10.0 * np.log10(block_power)
+    kept = block_lufs > gate
     if not np.any(kept):
         return None
     relative_gate = (
@@ -206,19 +208,23 @@ def _integrated_lufs(samples: np.ndarray, sample_rate: int) -> float | None:
 def normalize_to_loudness(buffer: AudioBuffer, target_lufs: float) -> AudioBuffer:
     """Scale a buffer by one scalar so its loudness matches the target."""
     out = buffer.samples.astype(np.float64, order="K")
-    out *= _normalizing_gain(out, buffer.sample_rate, target_lufs)
+    _normalize_in_place(out, buffer.sample_rate, target_lufs)
     return buffer.with_samples(out)
 
 
-def _normalizing_gain(samples: np.ndarray, sample_rate: int, target_lufs: float) -> float:
-    """The amplitude factor that brings ``samples``, which the caller owns,
-    to the target loudness, after they are scaled in place by the exact
-    power of two of their measurement (``_measure``).
+@np.errstate(over="ignore", invalid="ignore")
+def _normalize_in_place(samples: np.ndarray, sample_rate: int, target_lufs: float) -> None:
+    """``normalize_to_loudness`` written over float64 ``samples``: scaled
+    by the exact power of two of their measurement (``_measure``), if any,
+    then by the gain that brings them to the target. A result beyond
+    float64 is left Inf, without a warning, for the caller's buffer to reject.
 
     The relative gate moves with the scale, but the -70 LUFS absolute gate
     does not, so a gain can keep or drop different blocks; the gain is
     therefore re-solved once on the scaled powers instead of filtering the
-    scaled signal again.
+    scaled signal again. Where the scaled powers leave float64 (a target
+    above about 3000 LUFS), the unscaled powers are gated at the absolute
+    gate less the gain instead.
     """
     powers, exponent = _measure(samples, sample_rate)
     measured = _gated_lufs(powers)
@@ -227,10 +233,14 @@ def _normalizing_gain(samples: np.ndarray, sample_rate: int, target_lufs: float)
     if exponent:
         np.ldexp(samples, -exponent, out=samples)
     gain_db = target_lufs - measured
-    rescaled = _gated_lufs(powers * 10.0 ** (gain_db / 10.0))
+    scaled = powers * 10.0 ** (gain_db / 10.0)  # a silent block's 0 * inf is NaN
+    if np.isfinite(scaled).all():
+        rescaled = _gated_lufs(scaled)
+    else:  # a gate below -70 LUFS keeps the measured blocks, so never None
+        rescaled = _gated_lufs(powers, _ABSOLUTE_GATE_LUFS - gain_db) + gain_db
     if rescaled is not None:
         gain_db += target_lufs - rescaled
-    return 10.0 ** (gain_db / 20.0)
+    samples *= 10.0 ** (gain_db / 20.0)
 
 
 def count_clipped(buffer: AudioBuffer) -> ClipReport:

@@ -12,7 +12,7 @@ from .stems import TRACK_NAMES, StemSet
 
 SDR_CAP_DB = 100.0
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,15 @@ def evaluate_song(
     return SdrBreakdown(overall_db=overall, per_track_db=per_track)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnhanceReport:
     """Everything recorded about one song's trip through the pipeline."""
 
     song_id: str
     input_loudness_lufs: float | None = None
     clipped_samples: tuple[int, ...] = ()
-    clip_trigger_threshold: int = 0
     compressor_applied: bool = False
-    stages: list[str] = field(default_factory=list)
+    stages: tuple[str, ...] = ()
     options: dict[str, Any] = field(default_factory=dict)
     error: str | None = None
 

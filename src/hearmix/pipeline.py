@@ -28,12 +28,11 @@ from .audio import (
 )
 from .hearing import DEFAULT_NALR_TAPS, Listener, _check_n_taps, _nalr_in_place, load_listener
 from .levels import (
-    CLIP_TRIGGER_COUNT,
     CompressorParams,
     UndefinedLoudnessError,
     _compress_in_place,
     _integrated_lufs,
-    _normalizing_gain,
+    _normalize_in_place,
     count_clipped,
     integrated_loudness,
     should_compress,
@@ -240,30 +239,26 @@ def enhance(
     ensure_aligned(mix, stem_sets[0].vocals, what="mix and stems")
     _require_stereo(mix, "enhance")
 
-    report = EnhanceReport(song_id=song_id, options=options.as_dict())
-    target = report.input_loudness_lufs = _loudness_target(_mix_lufs(mix))
+    target = _loudness_target(_mix_lufs(mix))
 
     # one song-sized array: the front end allocates it, and every later
     # stage measures or rewrites it in place
     residual_mix = mix if options.use_residual else None
     samples = _front_end(stem_sets, gains, options.ensemble_weights, residual_mix)
-    gain = _normalizing_gain(samples, mix.sample_rate, target)
-    _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps, gain)
+    _normalize_in_place(samples, mix.sample_rate, target)
+    _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps)
     signal = mix.with_samples(samples)  # read-only: the compressor writes `samples`
-    report.stages += ["ensemble", "residual"] if options.use_residual else ["ensemble"]
-    report.stages += ["remix", "normalize", "nalr"]
-
     clip_report = count_clipped(signal)
-    report.clipped_samples = clip_report.per_channel
-    report.clip_trigger_threshold = CLIP_TRIGGER_COUNT
-    report.stages.append("clip_check")
-
-    if options.use_compressor_heuristic and should_compress(clip_report):
+    compressed = bool(options.use_compressor_heuristic) and should_compress(clip_report)
+    if compressed:
         _compress_in_place(samples, mix.sample_rate, options.compressor)
-        report.compressor_applied = True
-        report.stages.append("compress")
 
-    return signal, report
+    ran = {"residual": options.use_residual, "compress": compressed}
+    return signal, EnhanceReport(
+        song_id=song_id, input_loudness_lufs=target, clipped_samples=clip_report.per_channel,
+        compressor_applied=compressed, options=options.as_dict(),
+        stages=tuple(stage for stage in STAGE_ORDER if ran.get(stage, True)),
+    )
 
 
 def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) -> AudioBuffer:
@@ -281,8 +276,8 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     samples = _front_end([true_stems], _UNIT_GAINS)
     target = _loudness_target(_integrated_lufs(samples, rate))
     _front_end([true_stems], gains, out=samples)
-    gain = _normalizing_gain(samples, rate, target)
-    _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS, gain)
+    _normalize_in_place(samples, rate, target)
+    _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS)
     return true_stems.vocals.with_samples(samples)
 
 

@@ -219,27 +219,21 @@ class TestConvolveInPlace:
     @pytest.mark.parametrize("gain", [1.0, 1.7])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_out_of_place_on_the_scaled_input(self, rng, n, kind, gain, order):
+        # the chain's order: the normalizer scales the song in place, then
+        # the filter runs in place on the scaled rows
         x = np.array(rng.normal(0.0, 0.3, (2, n)), order=order)
         x[:, ::7] = -0.0
         h = _kernel(rng, kind)
         scaled = x * gain
         expected = np.empty_like(x)
         ours = x.copy(order="K")
+        ours *= gain
         for ch in range(2):
             audio._convolve_into(expected[ch : ch + 1], scaled[ch : ch + 1], h, 70)
             row = ours[ch : ch + 1]
-            audio._convolve_into(row, row, h, 70, gain)
+            audio._convolve_into(row, row, h, 70)
         assert np.array_equal(ours, expected)
         assert np.array_equal(np.signbit(ours), np.signbit(expected))
-
-    @pytest.mark.parametrize("kind", ["dense", "centred_tap"])
-    def test_gain_out_of_place_is_the_scaled_input(self, rng, kind):
-        x = rng.normal(0.0, 0.3, (1, 3 * 8192 + 5))
-        h = _kernel(rng, kind)
-        expected, ours = np.empty_like(x), np.empty_like(x)
-        audio._convolve_into(expected, x * 0.3, h, 70)
-        audio._convolve_into(ours, x, h, 70, 0.3)
-        assert np.array_equal(ours, expected)
 
     def test_scratch_does_not_grow_with_the_song(self, rng):
         h = _kernel(rng, "dense")
@@ -248,7 +242,7 @@ class TestConvolveInPlace:
             x = rng.normal(0.0, 0.3, (1, seconds * 44100))
             tracemalloc.start()
             try:
-                audio._convolve_into(x, x, h, 70, 1.7)
+                audio._convolve_into(x, x, h, 70)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

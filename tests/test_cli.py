@@ -54,7 +54,7 @@ class TestEnhanceCommand:
         rc = _enhance(song)
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["stages"][0] == "ensemble"
         out = read_wav(song / "enhanced.wav")
         assert out.channels == 2

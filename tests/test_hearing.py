@@ -279,6 +279,23 @@ class TestDesignNalrFir:
         with pytest.raises(ValueError, match="equal length"):
             design_nalr_fir(AUDIOMETRIC_FREQUENCIES, np.zeros(5), 141)
 
+    @pytest.mark.parametrize("rate", [100, 400, 520])
+    def test_rate_with_no_anchor_below_nyquist_rejected(self, rate):
+        # 0.95 x Nyquist stays below the 250 Hz anchor up to about 526 Hz
+        gains = nalr_insertion_gains(FLAT_60)
+        with pytest.raises(ValueError, match=rf"^sample_rate {rate} Hz .* the lowest is 250 Hz$"):
+            design_nalr_fir(AUDIOMETRIC_FREQUENCIES, gains, 141, rate)
+
+    def test_gains_past_float64_rejected(self):
+        # 10**(7000/20) overflows to inf, and the filter refuses the taps
+        with pytest.raises(ValueError, match="^taps must be finite$"):
+            design_nalr_fir(AUDIOMETRIC_FREQUENCIES, np.full(6, 7000.0), 141, 44100)
+
+    def test_lowest_rate_with_an_anchor_designs(self):
+        gains = nalr_insertion_gains(FLAT_60)
+        fir = design_nalr_fir(AUDIOMETRIC_FREQUENCIES, gains, 141, 530)
+        assert np.all(np.isfinite(fir.taps))
+
     @pytest.mark.parametrize(
         "anchors, rule",
         [
@@ -395,6 +412,13 @@ class TestApplyFir:
             for lag in lags
         ]
         assert lags[int(np.argmax(xc))] == 0
+
+    @pytest.mark.parametrize("one_tap", [False, True], ids=["dense", "one_tap"])
+    def test_output_past_float64_rejected(self, rng, one_tap):
+        taps = 1e10 * (np.eye(1, 65, 32)[0] if one_tap else np.hanning(65))
+        loud = make_buffer(1e300 * rng.normal(0.0, 1.0, (2, 1000)))
+        with pytest.raises(ValueError, match="^samples contain NaN or Inf$"):
+            apply_fir(loud, FirFilter(taps, 44100))
 
     def test_rate_mismatch_rejected(self, rng):
         x = make_buffer(rng.normal(0, 0.1, (1, 100)), rate=48000)

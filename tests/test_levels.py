@@ -279,6 +279,29 @@ class TestNormalizeToLoudness:
         # the spans passed to the filter cover the signal once
         assert sum(filtered) == program.n_frames
 
+    @pytest.mark.parametrize(
+        "silent_s, quiet_s, rise_db", [(0, 4, 12.0), (3, 1, 14.0)], ids=["crossing", "silence"]
+    )
+    @pytest.mark.parametrize("target", [-20.0, 3500.0, 6000.0])
+    def test_reaches_targets_past_float64_powers(self, rng, target, silent_s, quiet_s, rise_db):
+        # quiet seconds under the -70 LUFS absolute gate, then one louder:
+        # every target lifts them over it. Above about 3000 LUFS the scaled
+        # block powers leave float64, so the gain is re-solved against the
+        # gate moved down by the gain, which silent blocks stay under:
+        # counted, they would lower the relative gate below the quiet blocks
+        quiet = 10 ** (-80 / 20) * rng.normal(0, 1, (2, quiet_s * 44100))
+        loud = 10 ** (rise_db / 20) * quiet[:, :44100]
+        silence = np.zeros((2, silent_s * 44100))
+        program = make_buffer(np.concatenate([silence, quiet, loud], axis=1))
+        out = normalize_to_loudness(program, target)
+        assert integrated_loudness(out).value == pytest.approx(target, rel=0.0, abs=1e-9)
+
+    def test_a_result_past_float64_rejected(self, rng):
+        # the gain overflows to inf, and the output buffer refuses it
+        program = make_buffer(0.1 * rng.normal(0, 1, (2, 44100)))
+        with pytest.raises(ValueError, match="^samples contain NaN or Inf$"):
+            normalize_to_loudness(program, 7000.0)
+
     def test_silence_rejected(self):
         silent = make_buffer(np.zeros((2, 44100)))
         with pytest.raises(UndefinedLoudnessError, match="undefined"):

@@ -7,15 +7,19 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hearmix import (
     MUTE,
     STAGE_ORDER,
     AlignmentError,
     ClipReport,
+    CompressorParams,
     CrosstalkKernel,
     EnhanceOptions,
     GainSpec,
@@ -44,7 +48,7 @@ from hearmix import (
     should_compress,
     write_wav,
 )
-from hearmix import hearing, pipeline, stems as stems_module
+from hearmix import hearing, levels, pipeline, stems as stems_module
 from hearmix.cli import EXIT_FAILURE, main
 from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
 from hearmix.audio import _CHUNK_FRAMES
@@ -524,7 +528,7 @@ class TestEnhance:
             _, report = enhance(mix, [stems], UNIT_GAINS, ZERO_LISTENER, options)
             assert _is_subsequence(report.stages, STAGE_ORDER)
             skipped = {"compress"} if options.use_residual else {"residual", "compress"}
-            assert report.stages == [s for s in STAGE_ORDER if s not in skipped]
+            assert report.stages == tuple(s for s in STAGE_ORDER if s not in skipped)
             for required in ("ensemble", "remix", "normalize", "nalr", "clip_check"):
                 assert required in report.stages
             if options.use_residual:
@@ -586,7 +590,75 @@ class TestEnhance:
         _, report = enhance(mix, [stems], UNIT_GAINS, ZERO_LISTENER, options, song_id="s1")
         assert report.song_id == "s1"
         assert report.options["use_residual"] is False
-        assert report.as_dict()["schema_version"] == 2
+        assert report.as_dict()["schema_version"] == 3
+
+
+# GainSpec's limit: 10**(g/20) stays finite below 20*log10(float64 max), about 6165.09 dB
+_GAIN_DB = st.one_of(st.just(MUTE), st.floats(-60.0, 60.0), st.floats(-1e308, 6165.0))
+# attack and release: 1e-5 ms costs the smoother a solve per frame or two
+_TIME_MS = st.floats(-5.0, 3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _enhance_inputs(draw):
+    """A song of at most 0.5 s, mostly long enough to have a loudness, and
+    every setting ``enhance`` takes."""
+    attack = draw(_TIME_MS)
+    release = draw(st.just(attack) | _TIME_MS)
+    compressor = CompressorParams(
+        draw(st.floats(-100.0, 10.0)), draw(st.floats(1.0, 1e3)), attack, release
+    )
+    # asymmetric extreme settings, at ~17 µs a frame, only on the shortest
+    # songs: under 0.5 s at 8 kHz, a 400 ms loudness block's 3200 frames or more
+    extreme = attack != release and min(attack, release) < 0.01
+    rate = 8000 if extreme else draw(st.sampled_from([8000, 16000, 44100]))
+    shortest = draw(st.sampled_from([int(0.4 * rate)] * 3 + [1]))
+    n_frames = draw(st.integers(shortest, rate // 2))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 1.0) | st.floats(-12.0, 300.0))
+    truth = [scale * rng.normal(0.0, 0.25, (2, n_frames)) for _ in TRACK_NAMES]
+    sets = [
+        StemSet(*(make_buffer(t * rng.uniform(0.8, 1.2), rate) for t in truth)) for _ in range(k)
+    ]
+    weights = draw(st.none() | st.lists(st.floats(0.0, 1e308), min_size=k, max_size=k))
+
+    options = EnhanceOptions(
+        use_residual=draw(st.booleans()),
+        use_compressor_heuristic=draw(st.booleans()),
+        ensemble_weights=weights,
+        compressor=compressor,
+    )
+    gains = GainSpec(*(draw(_GAIN_DB) for _ in TRACK_NAMES))
+    # one listener in four has levels of any finite dB HL, the rest clinical ones
+    level = draw(st.sampled_from([st.floats(-20.0, 130.0)] * 3 + [st.floats(-1e308, 1e308)]))
+    left, right = (
+        Audiogram(AUDIOMETRIC_FREQUENCIES, tuple(draw(st.lists(level, min_size=6, max_size=6))))
+        for _ in range(2)
+    )
+    return make_buffer(sum(truth), rate), sets, gains, Listener("drawn", left, right), options
+
+
+class TestEnhanceIsTotal:
+    """Every validated input ends in a finite output or a package error,
+    never a numpy warning (an error in this suite)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_enhance_inputs(), trigger=st.integers(0, 25_000))
+    def test_finite_output_or_a_value_error(self, inputs, trigger):
+        # a 0.5 s song has under 25,000 frames, so the trigger is drawn too
+        mix, sets, gains, listener, options = inputs
+        try:
+            with mock.patch.object(levels, "CLIP_TRIGGER_COUNT", trigger):
+                out, report = enhance(mix, sets, gains, listener, options)
+        except ValueError as exc:
+            assert str(exc)
+            event(type(exc).__name__)
+            return
+        assert np.all(np.isfinite(out.samples))
+        event(f"finite output, compressor applied: {report.compressor_applied}")
+        if report.compressor_applied:
+            assert np.max(np.abs(out.samples)) <= 1.0
 
 
 class TestPeakMemory:
@@ -762,6 +834,12 @@ class TestBatch:
         assert reports[1].error is None
         assert not (tmp_path / "out" / "song0.wav").exists()
         assert (tmp_path / "out" / "song1.wav").exists()
+
+    def test_failed_and_finished_reports_hold_the_same_keys(self, tmp_path, rng):
+        manifest = load_manifest(self._manifest(tmp_path, rng, n_jobs=2, broken={0}))
+        failed, finished = (report.as_dict() for report in run_batch(manifest))
+        assert failed["error"] is not None and finished["error"] is None
+        assert failed.keys() == finished.keys()
 
     def test_directory_kind_spec_fails_its_job(self, tmp_path, rng):
         path = self._manifest(tmp_path, rng, n_jobs=2)

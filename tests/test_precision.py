@@ -221,7 +221,7 @@ class TestFloat32InSameBitsOut:
 
 
 class TestPrivateKernels:
-    """Scales and gains that no public caller passes with float32 input."""
+    """Scales that no public caller passes with float32 input."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_weighted_sum_with_python_float_scales(self, tracks, order):
@@ -230,13 +230,3 @@ class TestPrivateKernels:
             terms = [(0.3, np.array(x, dtype=dtype, order=order)) for x in tracks.values()]
             sums.append(audio._weighted_sum(terms, "overflow"))
         assert_same_bits(*sums)
-
-    @pytest.mark.parametrize("one_tap", [False, True], ids=["dense", "one_tap"])
-    def test_convolve_with_a_gain(self, tracks, rng, one_tap):
-        kernel = _kernel(rng, one_tap)
-        paths = np.array([[kernel.h_ll, kernel.h_rl], [kernel.h_lr, kernel.h_rr]])
-        outs = []
-        for dtype in (np.float32, np.float64):
-            outs.append(np.empty((2, FRAMES)))
-            audio._convolve_into(outs[-1], tracks["vocals"].astype(dtype), paths, 0, gain=0.7)
-        assert_same_bits(*outs)
