@@ -13,15 +13,17 @@ rates and raise :class:`AlignmentError` otherwise.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import secrets
 import struct
+import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -58,6 +60,8 @@ _CHUNK_FRAMES = 8192
 # never of the signal length.
 _FFT_SIZE = 2048
 _BLOCKS_PER_CHUNK = 8
+
+_T = TypeVar("_T")
 
 
 class WavReadError(ValueError):
@@ -213,59 +217,106 @@ def _song_span(n_frames: int) -> int:
     return min(4 * _CHUNK_FRAMES, max(_CHUNK_FRAMES, n_frames // 16))
 
 
-def _add_segment_sums(
-    sums: np.ndarray, edges: np.ndarray, frames: slice, values: np.ndarray
-) -> None:
-    """Add to ``sums[i]`` the sum over channels of the (channels, frames)
-    ``values`` of the span ``frames`` from frame ``edges[i]`` (sorted,
-    distinct, from 0) up to ``edges[i + 1]``, the last up to the span's end.
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
-    One ``np.add.reduceat`` sums each segment that meets the span over its
-    own frames only, so a quiet segment keeps its digits whatever came
-    before it. A segment that crosses the span's end keeps its partial sum.
+
+def _by_rows(fn: Callable[[slice], _T], n_rows: int) -> list[_T]:
+    """``fn`` over the rows of a (rows, frames) array: ``[fn(slice(None))]``,
+    or ``[fn(slice(0, 1)), fn(slice(1, 2))]`` with the second on a helper
+    thread when the array is stereo, the caller is the main thread and the
+    process may run on at least two CPUs.
+
+    ``fn`` must compute each row on its own, so that both ways give the same
+    bits. Batch workers are not the main thread: they already keep the
+    CPUs busy, and splitting their songs too only adds thread hand-offs.
+    The helper runs in a copy of the caller's context, so numpy's
+    ``errstate`` reaches it. It is joined before this returns or raises;
+    row 0's error is raised before row 1's.
+    """
+    if n_rows != 2 or threading.current_thread() is not threading.main_thread() or _cpu_count() < 2:
+        return [fn(slice(None))]
+    outcome: list = []  # row 1's (error, result)
+
+    def run_second() -> None:
+        try:
+            outcome.append((None, fn(slice(1, 2))))
+        except BaseException as exc:  # raised again on the caller
+            outcome.append((exc, None))
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
+    helper.start()
+    try:
+        first = fn(slice(0, 1))
+    finally:
+        helper.join()
+    error, second = outcome[0]
+    if error is not None:
+        raise error
+    return [first, second]
+
+
+def _segment_sums(edges: np.ndarray, frames: slice, values: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The sums over channels of the (channels, frames) ``values`` of the
+    span ``frames`` from frame ``edges[i]`` (sorted, distinct, from 0) up to
+    ``edges[i + 1]``, the last up to the span's end, for the ``i`` of the
+    returned slice: the segments that meet the span.
+
+    One ``np.add.reduceat`` sums each segment over its own frames only, so
+    a quiet segment keeps its digits whatever came before it. A segment
+    that crosses the span's end gets its partial sum.
     """
     first = np.searchsorted(edges, frames.start, side="right") - 1
     stop = np.searchsorted(edges, frames.stop)
     cuts = edges[first:stop] - frames.start
     cuts[0] = 0  # the segment the span starts in
-    sums[first:stop] += np.add.reduceat(values, cuts, axis=1).sum(axis=0)
+    return slice(first, stop), np.add.reduceat(values, cuts, axis=1).sum(axis=0)
 
 
 def _weighted_sum(
     terms: Sequence[tuple[float, np.ndarray]], overflow: str, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
-    in their order, into ``out`` (a new array when it is not given); an
-    overflow is a ValueError with the message ``overflow``.
+    in their order, into ``out`` (a new C-ordered array when it is not
+    given); an overflow is a ValueError with the message ``overflow``.
 
-    The song is walked in spans of ``_song_span`` frames. In each span the
-    first product is written into ``out`` and each later one is added
-    through one span of scratch, so beside the output only that span is
-    alive, and the result is the same bits whatever the span. A term of
-    scale 1.0 is added without multiplying, since ``x * 1.0`` is ``x``.
+    Each row block of ``_by_rows`` walks the song in spans of
+    ``_song_span`` frames. In each span the first product is written into
+    ``out`` and each later one is added through one span of scratch, so
+    beside the output only that span is alive, and the result is the same
+    bits whatever the span. A term of scale 1.0 is added without
+    multiplying, since ``x * 1.0`` is ``x``.
     """
     (first_scale, first), *rest = terms
     if out is None:
-        out = np.empty_like(first, dtype=np.float64)
+        out = np.empty(first.shape)
     n_frames = out.shape[1]
     span = _song_span(n_frames)
-    scratch = np.empty_like(out[:, :span])
-    with np.errstate(over="raise"):
-        try:
+
+    def sum_rows(rows: slice) -> None:
+        scratch = np.empty_like(out[rows, :span])
+        with np.errstate(over="raise"):
             for frames in _chunks(n_frames, span):
-                acc, product = out[:, frames], scratch[:, : frames.stop - frames.start]
+                acc, product = out[rows, frames], scratch[:, : frames.stop - frames.start]
                 if first_scale == 1.0:
-                    acc[...] = first[:, frames]
+                    acc[...] = first[rows, frames]
                 else:
-                    np.multiply(first[:, frames], first_scale, out=acc, dtype=np.float64)
+                    np.multiply(first[rows, frames], first_scale, out=acc, dtype=np.float64)
                 for scale, x in rest:
                     if scale == 1.0:
-                        acc += x[:, frames]
+                        acc += x[rows, frames]
                     else:
-                        np.multiply(x[:, frames], scale, out=product, dtype=np.float64)
+                        np.multiply(x[rows, frames], scale, out=product, dtype=np.float64)
                         acc += product
-        except FloatingPointError:
-            raise ValueError(overflow) from None
+
+    try:
+        _by_rows(sum_rows, out.shape[0])
+    except FloatingPointError:
+        raise ValueError(overflow) from None
     return out
 
 
@@ -329,13 +380,19 @@ def _overlap_add(
 ) -> None:
     """``_convolve_into`` by FFT over the paths ``(i, j)`` where ``paths``
     is true, for the outputs that have any; the others are left untouched.
-    Each chunk of input blocks is transformed once, before any output of
-    that chunk is written, and each output's chunk inverse-transformed once."""
+
+    Each chunk of input blocks is transformed one input at a time, before
+    any output of that chunk is written, and each output's chunk
+    inverse-transformed once. An output's spectrum sums its inputs' in
+    input order. The last output that reads an input multiplies that
+    input's spectrum in place, so beside the outputs' spectra only one
+    input's is alive."""
     n = inputs.shape[1]
     taps = kernels.shape[2]
     size = max(_FFT_SIZE, 1 << (2 * taps - 2).bit_length())  # >= 2 * taps - 1
     hop = size - taps + 1  # input samples per block, >= taps
-    reads = {i: np.flatnonzero(row) for i, row in enumerate(paths) if row.any()}
+    readers = {j: np.flatnonzero(column) for j, column in enumerate(paths.T) if column.any()}
+    outputs = np.flatnonzero(paths.any(axis=1))
     spectra = np.fft.rfft(kernels, size)
     tails = np.zeros((out.shape[0], taps - 1))
     a = 0
@@ -345,20 +402,26 @@ def _overlap_add(
         if segment.shape[1] < hop:  # the last, partial block
             segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
         frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
-        frames = frames.astype(np.float64, copy=False)  # a float32 input's rfft is complex64
-        x = np.fft.rfft(frames, size)
-        for i, js in reads.items():
-            acc = x[js[0]] * spectra[i, js[0]]
-            for j in js[1:]:
-                acc += x[j] * spectra[i, j]
-            y = np.fft.irfft(acc, size)
-            del acc
+        sums = {}
+        for j, reading in readers.items():
+            # a float32 input's rfft would be complex64
+            x = np.fft.rfft(frames[j].astype(np.float64, copy=False), size)
+            for i in reading:
+                term = np.multiply(x, spectra[i, j], out=x if i == reading[-1] else None)
+                if i in sums:
+                    sums[i] += term
+                else:
+                    sums[i] = term
+            del x, term
+        for i in outputs:
+            y = np.fft.irfft(sums.pop(i), size)
             y[0, : taps - 1] += tails[i]
             y[1:, : taps - 1] += y[:-1, hop:]
             tails[i] = y[-1, hop:]
             _write_clipped(out[i], y[:, :hop].reshape(-1), a - start)
+            del y  # before the next chunk's spectra are made
         a += blocks * hop
-    for i in reads:
+    for i in outputs:
         _write_clipped(out[i], tails[i], a - start)
 
 

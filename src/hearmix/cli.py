@@ -261,7 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="run every job in a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="songs run at once, one per worker thread; a worker never splits its song "
+        "over two threads (default: 1)",
+    )
     p.set_defaults(func=_cmd_batch)
 
     return parser

@@ -21,7 +21,9 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import freqz
 
-from .audio import AudioBuffer, _convolve_into, _finite_number, _positive_integer, _read_json
+from .audio import (
+    AudioBuffer, _by_rows, _convolve_into, _finite_number, _positive_integer, _read_json
+)
 
 AUDIOMETRIC_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 
@@ -298,11 +300,22 @@ def nalr_process(
 
 def _nalr_in_place(samples: np.ndarray, sample_rate: int, listener: Listener, n_taps: int) -> None:
     """``nalr_process`` written over float64 stereo ``samples``: each ear's
-    filter runs in place on its channel."""
-    for ch, ear in enumerate((listener.left, listener.right)):
-        fir = _nalr_fir(ear, n_taps, sample_rate)
-        row = samples[ch : ch + 1]
-        _convolve_into(row, row, fir.taps[np.newaxis, np.newaxis], fir.delay)
+    filter runs in place on its channel, one row block of ``_by_rows`` at a
+    time. A filter that cannot be designed is a ValueError that names the
+    listener and the ear."""
+    ears = (("left", listener.left), ("right", listener.right))
+
+    def filter_rows(rows: slice) -> None:
+        for ch in range(len(ears))[rows]:
+            side, ear = ears[ch]
+            try:
+                fir = _nalr_fir(ear, n_taps, sample_rate)
+            except ValueError as exc:
+                raise ValueError(f"listener {listener.id!r}, {side} ear: NAL-R design: {exc}") from exc
+            row = samples[ch : ch + 1]
+            _convolve_into(row, row, fir.taps[np.newaxis, np.newaxis], fir.delay)
+
+    _by_rows(filter_rows, samples.shape[0])
 
 
 @functools.lru_cache(maxsize=_NALR_CACHE_SIZE)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import lfilter, sosfilt
 
 from .audio import (
-    _CHUNK_FRAMES, AudioBuffer, _add_segment_sums, _chunks, _finite_number, _song_span
+    _CHUNK_FRAMES, AudioBuffer, _by_rows, _chunks, _finite_number, _segment_sums, _song_span
 )
 
 CLIP_TRIGGER_COUNT = 25_000
@@ -128,35 +128,48 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     times ``2**-exponent``, summed over channels; None when the signal is
     shorter than one block.
 
-    The signal is scaled, filtered and squared in ``_song_span`` spans up
-    to the last block's end; ``sosfilt`` with a carried ``zi`` continues
-    the recursion exactly. Each span's squares are summed between the hop
-    starts and block ends (``_add_segment_sums``), and a block's power is
-    the sum of its own segments, so no block loses digits to the energy
-    before it. K-weighting is linear, so scaling the signal by g scales
-    every block power by g**2.
+    Each row block of ``_by_rows`` is scaled, filtered and squared in
+    ``_song_span`` spans up to the last block's end; ``sosfilt`` with a
+    carried ``zi`` continues the recursion exactly. Each span's squares are
+    summed between the hop starts and block ends (``_segment_sums``). The
+    row blocks' sums are added in row order span by span, as a sum over
+    all channels at once would add them, and a block's power is the sum of
+    its own segments, so no block loses digits to the energy before it.
+    K-weighting is linear, so scaling the signal by g scales every block
+    power by g**2.
     """
     if sample_rate < 8000:
         raise ValueError(f"loudness needs sample_rate >= 8 kHz, got {sample_rate}")
-    channels, n_frames = samples.shape
+    n_frames = samples.shape[1]
     block = int(round(_BLOCK_SECONDS * sample_rate))
     hop = int(round(_HOP_SECONDS * sample_rate))
     starts = np.arange(0, n_frames - block + 1, hop)
     if not starts.size:
         return None
     edges = np.union1d(starts, starts + block)
-    sums = np.zeros(edges.size)
     sos = _k_weighting_sos(sample_rate)
-    zi = np.zeros((sos.shape[0], channels, 2))
     end = int(edges[-1])  # later frames count for no block
-    for frames in _chunks(end, _song_span(end)):
-        x = samples[:, frames]
-        if exponent:
-            x = np.ldexp(x, -exponent)
-        squares, zi = sosfilt(sos, x, axis=1, zi=zi)
-        np.multiply(squares, squares, out=squares)
-        _add_segment_sums(sums, edges, frames, squares)
-        del x, squares  # before the next span's are made
+    spans = list(_chunks(end, _song_span(end)))
+
+    def span_sums(rows: slice) -> list[tuple[slice, np.ndarray]]:
+        channels = samples[rows]
+        zi = np.zeros((sos.shape[0], channels.shape[0], 2))
+        sums = []
+        for frames in spans:
+            x = channels[:, frames]
+            if exponent:
+                x = np.ldexp(x, -exponent)
+            squares, zi = sosfilt(sos, x, axis=1, zi=zi)
+            np.multiply(squares, squares, out=squares)
+            sums.append(_segment_sums(edges, frames, squares))
+            del x, squares  # before the next span's are made
+        return sums
+
+    sums = np.zeros(edges.size)
+    for (where, part), *later in zip(*_by_rows(span_sums, samples.shape[0])):
+        for _, more in later:  # row 1's after row 0's, as .sum(axis=0) adds them
+            part = part + more
+        sums[where] += part
     # reduceat at each block's (start, end) pair; the sums from an end on are dropped
     bounds = np.searchsorted(edges, np.stack((starts, starts + block), axis=1).ravel())
     return np.add.reduceat(sums, bounds)[::2] / block

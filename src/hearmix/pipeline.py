@@ -217,6 +217,18 @@ def _mix_lufs(mix: AudioBuffer) -> float | None:
     return integrated_loudness(mix).value
 
 
+def _chain_output(like: AudioBuffer, samples: np.ndarray, listener: Listener) -> AudioBuffer:
+    """``like.with_samples(samples)`` for the output of a chain; samples
+    beyond float64 are a ValueError that names the listener and the stages
+    that can leave them so."""
+    try:
+        return like.with_samples(samples)
+    except ValueError as exc:
+        raise ValueError(
+            f"listener {listener.id!r}: loudness normalization and NAL-R overflow float64: {exc}"
+        ) from exc
+
+
 def enhance(
     mix: AudioBuffer,
     stem_sets: Sequence[StemSet],
@@ -247,7 +259,7 @@ def enhance(
     samples = _front_end(stem_sets, gains, options.ensemble_weights, residual_mix)
     _normalize_in_place(samples, mix.sample_rate, target)
     _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps)
-    signal = mix.with_samples(samples)  # read-only: the compressor writes `samples`
+    signal = _chain_output(mix, samples, listener)  # read-only: the compressor writes `samples`
     clip_report = count_clipped(signal)
     compressed = bool(options.use_compressor_heuristic) and should_compress(clip_report)
     if compressed:
@@ -278,7 +290,7 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     _front_end([true_stems], gains, out=samples)
     _normalize_in_place(samples, rate, target)
     _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS)
-    return true_stems.vocals.with_samples(samples)
+    return _chain_output(true_stems.vocals, samples, listener)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, _convolve_into, _positive_integer, read_wav
+from .audio import AudioBuffer, _by_rows, _convolve_into, _positive_integer, read_wav
 
 # directory layout for a kernel stored as four mono files
 _KERNEL_FILE_NAMES = ("ll.wav", "rl.wav", "lr.wav", "rr.wav")
@@ -58,8 +58,13 @@ def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer
             f"kernel rate {kernel.sample_rate} != signal rate {buffer.sample_rate}"
         )
     paths = np.array([[kernel.h_ll, kernel.h_rl], [kernel.h_lr, kernel.h_rr]])
-    received = np.empty_like(buffer.samples, dtype=np.float64)
-    _convolve_into(received, buffer.samples, paths, 0)
+    received = np.empty(buffer.samples.shape)
+
+    def receive(rows: slice) -> None:
+        # each output row reads both channels, so a split transforms both twice
+        _convolve_into(received[rows], buffer.samples, paths[rows], 0)
+
+    _by_rows(receive, 2)
     return buffer.with_samples(received)
 
 

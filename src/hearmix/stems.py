@@ -20,10 +20,10 @@ import numpy as np
 from .audio import (
     AlignmentError,
     AudioBuffer,
-    _add_segment_sums,
     _chunks,
     _finite_number,
     _positive_integer,
+    _segment_sums,
     _song_span,
     _weighted_sum,
     ensure_aligned,
@@ -305,7 +305,8 @@ def salient_segments(
         for frames in _chunks(end, span):
             square = scratch[:, : frames.stop - frames.start]
             np.multiply(samples[:, frames], samples[:, frames], out=square, dtype=np.float64)
-            _add_segment_sums(energy, edges, frames, square)
+            where, part = _segment_sums(edges, frames, square)
+            energy[where] += part
 
     total = sum(energies.values())
     # a silent window's share is 0

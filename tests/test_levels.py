@@ -270,14 +270,15 @@ class TestNormalizeToLoudness:
         filtered = []
 
         def counting_sosfilt(sos, x, *args, **kwargs):
-            filtered.append(x.shape[1])
+            filtered.append(x.size)
             return sosfilt(sos, x, *args, **kwargs)
 
         monkeypatch.setattr(levels, "sosfilt", counting_sosfilt)
         program = make_buffer(0.1 * rng.normal(0, 1, (2, 3 * 44100)))
         normalize_to_loudness(program, -23.0)
-        # the spans passed to the filter cover the signal once
-        assert sum(filtered) == program.n_frames
+        # the spans passed to the filter cover every sample once, whether
+        # the channels are filtered together or apart
+        assert sum(filtered) == program.samples.size
 
     @pytest.mark.parametrize(
         "silent_s, quiet_s, rise_db", [(0, 4, 12.0), (3, 1, 14.0)], ids=["crossing", "silence"]
