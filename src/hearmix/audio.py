@@ -217,28 +217,62 @@ def _song_span(n_frames: int) -> int:
     return min(4 * _CHUNK_FRAMES, max(_CHUNK_FRAMES, n_frames // 16))
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
+# where the process's cgroup is mounted; in a container, its own cgroup
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> float | None:
+    """How many CPUs' worth of run time the cgroup at ``_CGROUP`` allows
+    (v2 ``cpu.max``, else v1 ``cpu/cpu.cfs_quota_us`` over
+    ``cpu/cpu.cfs_period_us``), or None without a quota or a readable one."""
     try:
-        return len(os.sched_getaffinity(0))
+        try:
+            quota, period = (_CGROUP / "cpu.max").read_text().split()
+        except OSError:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text().strip()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
+        if quota in ("max", "-1"):
+            return None
+        return int(quota) / int(period)
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on: its CPU affinity, cut to the
+    whole CPUs of its cgroup's quota (at least 1)."""
+    try:
+        n_cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        n_cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return n_cpus if quota is None else max(1, min(n_cpus, int(quota)))
+
+
+def _splits(n_rows: int) -> bool:
+    """Whether ``_by_rows`` splits an array of ``n_rows`` rows: when it is
+    stereo, the caller is the main thread and the process may run on at
+    least two CPUs.
+
+    The workers of a batch of two or more are pool threads: they already
+    keep the CPUs busy, and splitting their songs too only adds thread
+    hand-offs.
+    """
+    return n_rows == 2 and threading.current_thread() is threading.main_thread() and _cpu_count() >= 2
 
 
 def _by_rows(fn: Callable[[slice], _T], n_rows: int) -> list[_T]:
     """``fn`` over the rows of a (rows, frames) array: ``[fn(slice(None))]``,
-    or ``[fn(slice(0, 1)), fn(slice(1, 2))]`` with the second on a helper
-    thread when the array is stereo, the caller is the main thread and the
-    process may run on at least two CPUs.
+    or, when ``_splits(n_rows)``, ``[fn(slice(0, 1)), fn(slice(1, 2))]``
+    with the second on a helper thread.
 
     ``fn`` must compute each row on its own, so that both ways give the same
-    bits. Batch workers are not the main thread: they already keep the
-    CPUs busy, and splitting their songs too only adds thread hand-offs.
-    The helper runs in a copy of the caller's context, so numpy's
+    bits. The helper runs in a copy of the caller's context, so numpy's
     ``errstate`` reaches it. It is joined before this returns or raises;
-    row 0's error is raised before row 1's.
+    row 0's error is raised before row 1's. When no thread can be started,
+    this makes the one call.
     """
-    if n_rows != 2 or threading.current_thread() is not threading.main_thread() or _cpu_count() < 2:
+    if not _splits(n_rows):
         return [fn(slice(None))]
     outcome: list = []  # row 1's (error, result)
 
@@ -249,7 +283,10 @@ def _by_rows(fn: Callable[[slice], _T], n_rows: int) -> list[_T]:
             outcome.append((exc, None))
 
     helper = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
-    helper.start()
+    try:
+        helper.start()
+    except RuntimeError:  # can't start new thread
+        return [fn(slice(None))]
     try:
         first = fn(slice(0, 1))
     finally:
@@ -281,8 +318,11 @@ def _weighted_sum(
     terms: Sequence[tuple[float, np.ndarray]], overflow: str, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``c0*x0 + c1*x1 + ...`` over ``(c, x)`` terms of one shape, summed
-    in their order, into ``out`` (a new C-ordered array when it is not
-    given); an overflow is a ValueError with the message ``overflow``.
+    in their order, into ``out`` (a new float64 array when it is not
+    given: C-ordered when the rows split, so the two threads never write
+    the same cache lines, and otherwise laid out as the first term, which
+    a one-call sum of F-ordered WAV decodes runs faster into); an overflow
+    is a ValueError with the message ``overflow``.
 
     Each row block of ``_by_rows`` walks the song in spans of
     ``_song_span`` frames. In each span the first product is written into
@@ -293,7 +333,7 @@ def _weighted_sum(
     """
     (first_scale, first), *rest = terms
     if out is None:
-        out = np.empty(first.shape)
+        out = np.empty_like(first, dtype=np.float64, order="C" if _splits(first.shape[0]) else "K")
     n_frames = out.shape[1]
     span = _song_span(n_frames)
 

@@ -265,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="songs run at once, one per worker thread; a worker never splits its song "
-        "over two threads (default: 1)",
+        help="songs run at once, one per worker thread; with two or more, a worker never "
+        "splits its song over two threads, and with one (the default) the songs run in turn "
+        "on the main thread, which may split each song's stereo stages over two CPUs",
     )
     p.set_defaults(func=_cmd_batch)
 

@@ -293,7 +293,7 @@ def nalr_process(
     """Apply each ear's NAL-R prescription to its channel of a stereo signal."""
     if buffer.channels != 2:
         raise ValueError(f"NAL-R processing needs stereo input, got {buffer.channels} channel(s)")
-    out = buffer.samples.astype(np.float64, order="K")
+    out = buffer.samples.astype(np.float64, order="C")
     _nalr_in_place(out, buffer.sample_rate, listener, n_taps)
     return buffer.with_samples(out)
 

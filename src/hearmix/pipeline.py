@@ -493,6 +493,11 @@ def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
     """Run every manifest job on ``workers`` threads with the default
     ``EnhanceOptions``, isolating per-job failures.
 
+    A batch that needs one thread (one worker, or one job) runs on the
+    calling thread, so on the main thread its stereo stages may split over
+    two CPUs (``audio._by_rows``); two or more workers run on pool threads
+    and never split a song.
+
     Jobs that name the same mixture share one read-only load of it, one
     measurement of its loudness and one load of each stem spec they name;
     at most ``workers`` songs (mixtures and their stem sets) are loaded at
@@ -517,7 +522,11 @@ def run_batch(manifest: BatchManifest, workers: int = 1) -> list[EnhanceReport]:
                 )
             schedule.done(group)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for worker in [pool.submit(work) for _ in range(min(workers, len(jobs)))]:
-            worker.result()
+    n_threads = min(workers, len(jobs))
+    if n_threads <= 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            for worker in [pool.submit(work) for _ in range(n_threads)]:
+                worker.result()
     return reports

@@ -184,6 +184,15 @@ class TestByRows:
         assert finished == [slice(0, 1)]
         assert threading.active_count() == before
 
+    def test_one_call_when_no_thread_starts(self, monkeypatch):
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        set_cpus(monkeypatch, "split")
+        monkeypatch.setattr(audio.threading, "Thread", Unstartable)
+        assert audio._by_rows(lambda rows: rows, 2) == [slice(None)]
+
     def test_errstate_reaches_the_helper(self, monkeypatch):
         # warnings are errors in this suite: a helper thread that lost the
         # caller's errstate would warn of the overflow
@@ -192,6 +201,35 @@ class TestByRows:
         with np.errstate(over="ignore"):
             squares = audio._by_rows(lambda rows: big[rows] * big[rows], 2)
         assert all(np.isinf(s).all() for s in squares)
+
+
+class TestCpuCount:
+    """The CPU affinity, cut to the whole CPUs of the cgroup's quota."""
+
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ({}, 2),
+            ({"cpu.max": "max 100000\n"}, 2),
+            ({"cpu.max": "150000 100000\n"}, 1),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cpu.max": "800000 100000\n"}, 2),
+            ({"cpu.max": "garbage\n"}, 2),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+            ({"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+            ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+            ({"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "0\n"}, 2),
+        ],
+        ids=["none", "v2_max", "v2_1.5", "v2_0.5", "v2_8", "v2_garbage",
+             "v1_none", "v1_1", "v1_2", "v1_zero_period"],
+    )
+    def test_quota(self, monkeypatch, tmp_path, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(audio, "_CGROUP", tmp_path)
+        monkeypatch.setattr(audio.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert audio._cpu_count() == cpus
 
 
 class TestSameBits:
@@ -210,7 +248,9 @@ class TestSameBits:
         assert one[1] == split[1]
         assert one[1].compressor_applied == compressed
         assert same_bits(one[0].samples, split[0].samples)
+        # split rows write a C-ordered array; one call keeps the input's layout
         assert split[0].samples.flags.c_contiguous
+        assert one[0].samples.flags[f"{order}_CONTIGUOUS"]
         assert_modes(blocks_one, blocks_split)
 
     @LAYOUTS
@@ -253,6 +293,7 @@ class TestSameBits:
             monkeypatch, lambda: nalr_process(mix, flat_listener(60.0))
         )
         assert same_bits(one.samples, split.samples)
+        assert split.samples.flags.c_contiguous
         assert_modes(blocks_one, blocks_split)
 
     def test_errstate_reaches_the_helper_in_the_stages(self, monkeypatch, rng):
@@ -311,7 +352,9 @@ class TestErrors:
         assert str(raised.value) == OVERFLOW_ERROR
 
 
-class TestBatchNeverSplits:
+class TestBatch:
+    """A batch on one thread runs on the caller; pool workers never split."""
+
     def _manifest(self, tmp_path, rng, listener):
         """Three jobs of one song for ``listener``."""
         truth = synth_stems(rng, seconds=0.5)
@@ -334,28 +377,41 @@ class TestBatchNeverSplits:
         return load_manifest(tmp_path / "manifest.json")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_workers_run_each_stage_once_with_the_split_bits(self, monkeypatch, tmp_path, rng, workers):
+    def test_same_files_and_reports_split_or_not(self, monkeypatch, tmp_path, rng, workers):
         manifest = self._manifest(tmp_path, rng, flat_listener(45.0))
         set_cpus(monkeypatch, "split")
         with recording_rows() as blocks:
             reports = run_batch(manifest, workers=workers)
-        assert blocks and all(rows == slice(None) and not here for rows, here in blocks)
+        if workers == 1:  # on this (the main) thread: the stages split
+            assert blocks and all((rows, here) in ((slice(0, 1), True), (slice(1, 2), False)) for rows, here in blocks)
+        else:  # pool workers: one call per stage, off this thread
+            assert blocks and all(rows == slice(None) and not here for rows, here in blocks)
         outputs = [(tmp_path / "out" / f"job{i}.wav").read_bytes() for i in range(3)]
-        # the same job on the main thread splits, and writes the same file
-        with recording_rows() as blocks:
-            alone = pipeline.run_job(manifest.jobs[0], manifest.base_dir, EnhanceOptions())
-        assert (slice(1, 2), False) in blocks
+        # the same job with one call per stage writes the same file
+        set_cpus(monkeypatch, "one_call")
+        alone = pipeline.run_job(manifest.jobs[0], manifest.base_dir, EnhanceOptions())
         assert outputs == [(tmp_path / "out" / "job0.wav").read_bytes()] * 3
         assert [r.as_dict() for r in reports] == [
             {**alone.as_dict(), "song_id": f"job{i}"} for i in range(3)
         ]
 
+    def test_one_worker_off_the_main_thread_never_splits(self, monkeypatch, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng, flat_listener(45.0))
+        set_cpus(monkeypatch, "split")
+        with recording_rows() as blocks:
+            caller = threading.Thread(target=run_batch, args=(manifest, 1))
+            caller.start()
+            caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert blocks and all(rows == slice(None) and not here for rows, here in blocks)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_report_names_listener_and_ear(self, monkeypatch, tmp_path, rng, mode):
         manifest = self._manifest(tmp_path, rng, LOUD_RIGHT_EAR)
         set_cpus(monkeypatch, mode)
-        reports = run_batch(manifest, workers=2)
-        assert [r.error for r in reports] == [f"ValueError: {RIGHT_EAR_ERROR}"] * 3
+        for workers in (1, 2):
+            reports = run_batch(manifest, workers=workers)
+            assert [r.error for r in reports] == [f"ValueError: {RIGHT_EAR_ERROR}"] * 3
         with pytest.raises(ValueError) as raised:
             pipeline.run_job(manifest.jobs[0], manifest.base_dir, EnhanceOptions())
         assert str(raised.value) == RIGHT_EAR_ERROR
