@@ -60,6 +60,10 @@ _CHUNK_FRAMES = 8192
 # never of the signal length.
 _FFT_SIZE = 2048
 _BLOCKS_PER_CHUNK = 8
+# chunks a song needs before the overlap-add splits it in time. Each thread
+# holds about five chunk-sized spectra of scratch, at most a fifth of the
+# output from 16 chunks on; split, a 3 s song's two threads held 0.55 of it.
+_SPLIT_CHUNKS = 16
 
 _T = TypeVar("_T")
 
@@ -421,12 +425,23 @@ def _overlap_add(
     """``_convolve_into`` by FFT over the paths ``(i, j)`` where ``paths``
     is true, for the outputs that have any; the others are left untouched.
 
-    Each chunk of input blocks is transformed one input at a time, before
-    any output of that chunk is written, and each output's chunk
-    inverse-transformed once. An output's spectrum sums its inputs' in
-    input order. The last output that reads an input multiplies that
-    input's spectrum in place, so beside the outputs' spectra only one
-    input's is alive."""
+    The input is cut into blocks of ``hop`` samples, transformed
+    ``_BLOCKS_PER_CHUNK`` at a time and one input at a time, before any
+    output of that chunk is written; each output's chunk is
+    inverse-transformed once. An output's spectrum sums its inputs' in input
+    order. The last output that reads an input multiplies that input's
+    spectrum in place, so beside the outputs' spectra only one input's is
+    alive.
+
+    Out of place, a song of ``_SPLIT_CHUNKS`` chunks or more splits in
+    time: the two "rows" of ``_by_rows`` are the chunks before and from the
+    middle chunk edge, the second on the helper thread. That half first
+    recomputes the tail that the block before it leaves. Each block is
+    transformed on its own and an output sample sums at most two blocks'
+    values, so both ways give the same bits, and each input chunk is
+    transformed once. In place, the song is one call, since a later half
+    would read samples that an earlier one has overwritten.
+    """
     n = inputs.shape[1]
     taps = kernels.shape[2]
     size = max(_FFT_SIZE, 1 << (2 * taps - 2).bit_length())  # >= 2 * taps - 1
@@ -434,14 +449,14 @@ def _overlap_add(
     readers = {j: np.flatnonzero(column) for j, column in enumerate(paths.T) if column.any()}
     outputs = np.flatnonzero(paths.any(axis=1))
     spectra = np.fft.rfft(kernels, size)
-    tails = np.zeros((out.shape[0], taps - 1))
-    a = 0
-    while a < n:
-        segment = inputs[:, a : a + hop * _BLOCKS_PER_CHUNK]
-        blocks = max(1, segment.shape[1] // hop)
-        if segment.shape[1] < hop:  # the last, partial block
+
+    def block_outputs(a: int, blocks: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Each output's inverse transform, (blocks, size), of the input
+        blocks from sample ``a``; a last, partial block is zero-padded."""
+        segment = inputs[:, a : a + blocks * hop]
+        if segment.shape[1] < hop:
             segment = np.pad(segment, ((0, 0), (0, hop - segment.shape[1])))
-        frames = segment[:, : blocks * hop].reshape(inputs.shape[0], blocks, hop)
+        frames = segment.reshape(inputs.shape[0], blocks, hop)
         sums = {}
         for j, reading in readers.items():
             # a float32 input's rfft would be complex64
@@ -454,15 +469,37 @@ def _overlap_add(
                     sums[i] = term
             del x, term
         for i in outputs:
-            y = np.fft.irfft(sums.pop(i), size)
-            y[0, : taps - 1] += tails[i]
-            y[1:, : taps - 1] += y[:-1, hop:]
-            tails[i] = y[-1, hop:]
-            _write_clipped(out[i], y[:, :hop].reshape(-1), a - start)
-            del y  # before the next chunk's spectra are made
-        a += blocks * hop
-    for i in outputs:
-        _write_clipped(out[i], tails[i], a - start)
+            yield i, np.fft.irfft(sums.pop(i), size)
+
+    chunk = hop * _BLOCKS_PER_CHUNK
+    middle = chunk * (-(-n // chunk) // 2) if n >= _SPLIT_CHUNKS * chunk else 0
+    edges = (0, middle, n)
+
+    def add_halves(halves: slice) -> None:
+        picked = range(2)[halves]
+        a, stop = edges[picked[0]], edges[picked[-1] + 1]
+        tails = np.zeros((out.shape[0], taps - 1))
+        if a:
+            for i, y in block_outputs(a - hop, 1):
+                tails[i] = y[0, hop:]
+                del y
+        while a < stop:
+            blocks = max(1, min(_BLOCKS_PER_CHUNK, (n - a) // hop))
+            for i, y in block_outputs(a, blocks):
+                y[0, : taps - 1] += tails[i]
+                y[1:, : taps - 1] += y[:-1, hop:]
+                tails[i] = y[-1, hop:]
+                _write_clipped(out[i], y[:, :hop].reshape(-1), a - start)
+                del y  # before the next output's inverse transform is made
+            a += blocks * hop
+        if stop == n:
+            for i in outputs:
+                _write_clipped(out[i], tails[i], a - start)
+
+    if out is inputs or not middle:
+        add_halves(slice(None))
+    else:
+        _by_rows(add_halves, 2)
 
 
 def _write_clipped(dst: np.ndarray, values: np.ndarray, offset: int) -> None:

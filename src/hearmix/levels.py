@@ -129,12 +129,16 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     shorter than one block.
 
     Each row block of ``_by_rows`` is scaled, filtered and squared in
-    ``_song_span`` spans up to the last block's end; ``sosfilt`` with a
-    carried ``zi`` continues the recursion exactly. Each span's squares are
-    summed between the hop starts and block ends (``_segment_sums``). The
-    row blocks' sums are added in row order span by span, as a sum over
-    all channels at once would add them, and a block's power is the sum of
-    its own segments, so no block loses digits to the energy before it.
+    pieces up to the last block's end: as many whole ``_song_span`` spans
+    as fit in 1/10 of the song, at least one. ``sosfilt`` with a carried
+    ``zi`` continues the recursion exactly, so the squares have the same
+    bits whatever the piece. Its set-up holds the interpreter lock on each
+    call, and its filter loop does not, so two row blocks that make few,
+    long calls filter at once. Each span's squares are summed between the
+    hop starts and block ends (``_segment_sums``). The row blocks' sums are
+    added in row order span by span, as a sum over all channels at once
+    would add them, and a block's power is the sum of its own segments, so
+    no block loses digits to the energy before it.
     K-weighting is linear, so scaling the signal by g scales every block
     power by g**2.
     """
@@ -149,20 +153,26 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     edges = np.union1d(starts, starts + block)
     sos = _k_weighting_sos(sample_rate)
     end = int(edges[-1])  # later frames count for no block
-    spans = list(_chunks(end, _song_span(end)))
+    span = _song_span(end)
+    spans = list(_chunks(end, span))
+    per_piece = max(1, end // (10 * span))  # whole spans in 1/10 of the song
+    pieces = [spans[k : k + per_piece] for k in range(0, len(spans), per_piece)]
 
     def span_sums(rows: slice) -> list[tuple[slice, np.ndarray]]:
         channels = samples[rows]
         zi = np.zeros((sos.shape[0], channels.shape[0], 2))
         sums = []
-        for frames in spans:
-            x = channels[:, frames]
+        for piece in pieces:
+            first = piece[0].start
+            x = channels[:, first : piece[-1].stop]
             if exponent:
                 x = np.ldexp(x, -exponent)
             squares, zi = sosfilt(sos, x, axis=1, zi=zi)
             np.multiply(squares, squares, out=squares)
-            sums.append(_segment_sums(edges, frames, squares))
-            del x, squares  # before the next span's are made
+            for frames in piece:
+                span_squares = squares[:, frames.start - first : frames.stop - first]
+                sums.append(_segment_sums(edges, frames, span_squares))
+            del x, squares, span_squares  # before the next piece's are made
         return sums
 
     sums = np.zeros(edges.size)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, _by_rows, _convolve_into, _positive_integer, read_wav
+from .audio import AudioBuffer, _convolve_into, _positive_integer, read_wav
 
 # directory layout for a kernel stored as four mono files
 _KERNEL_FILE_NAMES = ("ll.wav", "rl.wav", "lr.wav", "rr.wav")
@@ -50,7 +50,11 @@ class CrosstalkKernel:
 
 def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer:
     """Simulate speaker playback: convolve the stereo signal with the four
-    crosstalk paths, truncated to the input length."""
+    crosstalk paths, truncated to the input length.
+
+    One call reads both inputs for both outputs, so each input chunk is
+    transformed once; a long song's second half runs on a helper thread
+    (``audio._overlap_add``)."""
     if buffer.channels != 2:
         raise ValueError(f"crosstalk needs stereo input, got {buffer.channels} channel(s)")
     if kernel.sample_rate != buffer.sample_rate:
@@ -59,12 +63,7 @@ def apply_crosstalk(buffer: AudioBuffer, kernel: CrosstalkKernel) -> AudioBuffer
         )
     paths = np.array([[kernel.h_ll, kernel.h_rl], [kernel.h_lr, kernel.h_rr]])
     received = np.empty(buffer.samples.shape)
-
-    def receive(rows: slice) -> None:
-        # each output row reads both channels, so a split transforms both twice
-        _convolve_into(received[rows], buffer.samples, paths[rows], 0)
-
-    _by_rows(receive, 2)
+    _convolve_into(received, buffer.samples, paths, 0)
     return buffer.with_samples(received)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import threading
 import tracemalloc
 import uuid
 import wave
@@ -262,6 +263,102 @@ class TestConvolveInPlace:
         x = rng.normal(0.0, 0.3, (2, 100))
         with pytest.raises(ValueError, match="filters one row, got 2"):
             audio._convolve_into(x, x, np.ones((2, 2, 3)), 1)
+
+
+def _split_edges(taps: int) -> dict[str, int]:
+    """Song lengths around the overlap-add's time split for a kernel of
+    ``taps`` taps: one chunk, one frame short of the split, the shortest
+    song that splits, one frame more, and an odd number of chunks plus a
+    partial block."""
+    size = max(audio._FFT_SIZE, 1 << (2 * taps - 2).bit_length())
+    chunk = (size - taps + 1) * audio._BLOCKS_PER_CHUNK
+    least = audio._SPLIT_CHUNKS * chunk
+    return {
+        "one_chunk": chunk,
+        "one_short": least - 1,
+        "least": least,
+        "least+1": least + 1,
+        "odd_chunks": least + chunk + 17,
+    }
+
+
+def _stereo_paths(rng, taps: int) -> np.ndarray:
+    return rng.normal(0.0, 0.2, (2, 2, taps)) * np.exp(-np.arange(taps) / (taps / 4))
+
+
+def _mixed_paths(rng, taps: int) -> np.ndarray:
+    # the right input reaches each output through one tap (a shift by 5
+    # samples, then none), and the left input through the FFT
+    h = _stereo_paths(rng, taps)
+    h[0, 1] = 0.0
+    h[0, 1, 5] = 0.4
+    h[1, 1] = 0.0
+    h[1, 1, 0] = -0.7
+    return h
+
+
+SPLIT_CASES = [f"stereo-{edge}" for edge in _split_edges(384)] + [
+    "fft_4096", "one_tap_and_dense", "float32_F", "delayed_row"
+]
+
+
+def _split_case(rng, case: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """The inputs, kernels and start of a case of ``SPLIT_CASES``."""
+    if case.startswith("stereo-"):
+        n = _split_edges(384)[case.removeprefix("stereo-")]
+        return rng.normal(0.0, 0.3, (2, n)), _stereo_paths(rng, 384), 0
+    if case == "fft_4096":  # over 1024 taps
+        n = _split_edges(1100)["least+1"]
+        return rng.normal(0.0, 0.3, (2, n)), _stereo_paths(rng, 1100), 0
+    if case == "delayed_row":  # advanced by the filter's delay, as apply_fir filters
+        n = _split_edges(385)["least+1"]
+        return rng.normal(0.0, 0.3, (1, n)), _kernel(rng, "dense", 385), 192
+    x = rng.normal(0.0, 0.3, (2, _split_edges(384)["odd_chunks"]))
+    if case == "float32_F":
+        return np.array(x, np.float32, order="F"), _stereo_paths(rng, 384), 0
+    return x, _mixed_paths(rng, 384), 0
+
+
+BY_ROWS = audio._by_rows
+
+
+class TestConvolveSplitsInTime:
+    """Out of place, a song of ``_SPLIT_CHUNKS`` chunks or more splits in
+    time: the second half runs on a helper thread, and the two ways give
+    the same bits."""
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_split_matches_one_call(self, monkeypatch, rng, case):
+        inputs, kernels, start = _split_case(rng, case)
+        runs = []
+        for cpus in (1, 2):
+            calls = []
+
+            def by_rows(fn, n_rows):
+                def recorded(halves):
+                    calls.append((halves, threading.current_thread() is threading.main_thread()))
+                    return fn(halves)
+
+                return BY_ROWS(recorded, n_rows)
+
+            monkeypatch.setattr(audio, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(audio, "_by_rows", by_rows)
+            out = np.empty((kernels.shape[0], inputs.shape[1]))
+            audio._convolve_into(out, inputs, kernels, start)
+            runs.append((out, sorted(calls, key=lambda call: call[0].start or 0)))
+        (one, calls_one), (split, calls_split) = runs
+        assert one.tobytes() == split.tobytes()
+        if case in ("stereo-one_chunk", "stereo-one_short"):
+            assert calls_one == calls_split == []
+        else:
+            assert calls_one == [(slice(None), True)]
+            assert calls_split == [(slice(0, 1), True), (slice(1, 2), False)]
+
+    def test_in_place_never_splits(self, monkeypatch, rng):
+        monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(audio, "_by_rows", lambda fn, n_rows: pytest.fail("in place, it split"))
+        x = rng.normal(0.0, 0.3, (1, _split_edges(141)["odd_chunks"]))
+        audio._convolve_into(x, x, _kernel(rng, "dense"), 70)
 
 
 class TestEnsureAligned:

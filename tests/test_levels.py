@@ -21,8 +21,8 @@ from hearmix import (
     normalize_to_loudness,
     should_compress,
 )
-from hearmix import levels
-from hearmix.audio import _CHUNK_FRAMES, _chunks, _song_span
+from hearmix import audio, levels
+from hearmix.audio import _CHUNK_FRAMES, _chunks, _segment_sums, _song_span
 from util import CHUNK_EDGES, SPAN_EDGES, assert_read_only, make_buffer, sine_buffer
 
 # the scan and running max may differ from the loops by float rounding only
@@ -208,6 +208,67 @@ class TestBlockPowers:
         # place at a time, plus block-sized arrays: 0.07 on 3 s, where a
         # span is 1/16 of the song
         assert peak / buffer.samples.nbytes <= 0.1
+
+
+def span_by_span_powers(samples: np.ndarray, rate: int, exponent: int = 0) -> np.ndarray:
+    """The block powers of ``samples * 2**-exponent`` as the meter made
+    them with one ``sosfilt`` call per ``_song_span`` span, over all rows
+    at once: the bits that filtering in longer pieces keeps."""
+    block, hop = int(round(0.4 * rate)), int(round(0.1 * rate))
+    starts = np.arange(0, samples.shape[1] - block + 1, hop)
+    edges = np.union1d(starts, starts + block)
+    sos = levels._k_weighting_sos(rate)
+    end = int(edges[-1])
+    zi = np.zeros((sos.shape[0], samples.shape[0], 2))
+    sums = np.zeros(edges.size)
+    for frames in _chunks(end, _song_span(end)):
+        x = samples[:, frames]
+        if exponent:
+            x = np.ldexp(x, -exponent)
+        weighted, zi = sosfilt(sos, x, axis=1, zi=zi)
+        where, part = _segment_sums(edges, frames, weighted * weighted)
+        sums[where] += part
+    bounds = np.searchsorted(edges, np.stack((starts, starts + block), axis=1).ravel())
+    return np.add.reduceat(sums, bounds)[::2] / block
+
+
+class TestPiecesOfSpans:
+    """The meter filters several spans per ``sosfilt`` call and keeps the
+    bits of one call per span, split over two threads or not."""
+
+    # 720,000 frames at 8 kHz: two 32768-frame spans a piece; 30 s at
+    # 44.1 kHz: four
+    CASES = [(8000, 90, 2), (44100, 30, 4)]
+
+    @pytest.mark.parametrize("rate, seconds, spans", CASES, ids=["8k-90s", "44k-30s"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_call", "split"])
+    def test_same_bits_as_span_by_span(self, monkeypatch, rng, rate, seconds, spans, cpus):
+        monkeypatch.setattr(audio, "_cpu_count", lambda: cpus)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return sosfilt(*args, **kwargs)
+
+        monkeypatch.setattr(levels, "sosfilt", counted)
+        samples = rng.normal(0.0, 0.2, (2, rate * seconds))
+        samples[:, samples.shape[1] // 2 :] *= 1e-3  # a quiet half
+        ours = levels._block_powers(samples, rate)
+        assert ours.tobytes() == span_by_span_powers(samples, rate).tobytes()
+        # each row block's calls hold ``spans`` spans each, but its last
+        lengths = [shape[1] for shape in calls]
+        assert lengths.count(spans * 32768) == len(lengths) - cpus
+        assert {shape[0] for shape in calls} == {2 // cpus}
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_call", "split"])
+    def test_overflow_exponent(self, monkeypatch, rng, cpus):
+        # K-weighted squares of a song at 1e300 overflow float64, so the
+        # meter measures it at an exact power-of-two scale
+        monkeypatch.setattr(audio, "_cpu_count", lambda: cpus)
+        samples = 1e300 * rng.normal(0.0, 0.2, (2, 720_000))
+        powers, exponent = levels._measure(samples, 8000)
+        assert exponent > 0
+        assert powers.tobytes() == span_by_span_powers(samples, 8000, exponent).tobytes()
 
 
 # 0.5 s of stereo noise at peak 0.5: two loudness blocks

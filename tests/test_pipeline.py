@@ -723,6 +723,13 @@ class TestPeakMemory:
         _, peak = peak_buffers(song, nalr_process, song, flat_listener(60.0))
         assert peak <= 1.5
 
+    def test_integrated_loudness_holds_a_tenth_of_a_buffer(self, rng):
+        # beside the input, each row block filters and squares one piece of
+        # whole spans, up to 1/10 of the song: 0.10 on 30 s
+        song = make_buffer(rng.normal(0.0, 0.2, (2, 30 * 44100)))
+        _, peak = peak_buffers(song, integrated_loudness, song)
+        assert peak <= 0.12
+
     def test_apply_crosstalk_holds_few_buffers(self, rng):
         song = make_buffer(rng.normal(0.0, 0.2, (2, 3 * 44100)))
         responses = rng.normal(0, 0.2, (4, 384)) * np.exp(-np.arange(384) / 96)

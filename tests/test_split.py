@@ -1,8 +1,10 @@
 """The stereo stages split over two threads: ``audio._by_rows`` runs row 1
 of a stereo array on a helper thread when the caller is the main thread
-and the process may run on two CPUs. Each mode is forced by patching the
-CPU count; the split and the single call must give the same bits, the
-same errors and the same numpy error state.
+and the process may run on two CPUs. The overlap-add of crosstalk and
+``apply_fir`` splits a long song in time instead: its two "rows" are the
+song's halves. Each mode is forced by patching the CPU count; the split
+and the single call must give the same bits, the same errors and the same
+numpy error state.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hearmix import (
     Listener,
     StemSet,
     apply_crosstalk,
+    apply_fir,
     build_reference,
     enhance,
     integrated_loudness,
@@ -31,13 +34,14 @@ from hearmix import (
     run_batch,
     write_wav,
 )
-from hearmix import audio, hearing, levels, pipeline, spatial
+from hearmix import audio, hearing, levels, pipeline
 from hearmix.audio import _CHUNK_FRAMES
-from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram
+from hearmix.hearing import AUDIOMETRIC_FREQUENCIES, Audiogram, FirFilter
 from util import (
     ZERO_LISTENER,
     exact_mix,
     flat_listener,
+    peak_buffers,
     random_stem_sets,
     synth_stems,
     write_gains_file,
@@ -51,6 +55,10 @@ UNIT_GAINS = GainSpec(0.0, 0.0, 0.0, 0.0)
 # several spans of the front end and the meter, and past the clip trigger
 # for a 70 dB HL listener
 N_FRAMES = 5 * _CHUNK_FRAMES + 17
+# input samples per chunk of the overlap-add for a kernel of 384 taps
+# (2048-point FFT), and a song long enough that it splits in time
+XTALK_CHUNK = (audio._FFT_SIZE - 383) * audio._BLOCKS_PER_CHUNK
+LONG_FRAMES = audio._SPLIT_CHUNKS * XTALK_CHUNK + 17
 LOUD_RIGHT_EAR = Listener(
     "loud-right",
     Audiogram(AUDIOMETRIC_FREQUENCIES, (30.0,) * 6),
@@ -82,8 +90,25 @@ def recording_rows():
         return BY_ROWS(recorded, n_rows)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (audio, levels, hearing, spatial):
+        for module in (audio, levels, hearing):
             patch.setattr(module, "_by_rows", by_rows)
+        yield blocks
+
+
+@contextlib.contextmanager
+def counting_transforms():
+    """Record how many blocks each forward real FFT of a 2-D input (one
+    block a row) transforms."""
+    blocks: list[int] = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            blocks.append(np.shape(a)[0])
+        return rfft(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.fft, "rfft", counted)
         yield blocks
 
 
@@ -265,16 +290,59 @@ class TestSameBits:
     @LAYOUTS
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "one_tap"])
     def test_apply_crosstalk(self, monkeypatch, rng, dtype, order, dense):
-        mix, _ = song(rng, dtype, order)
+        samples = np.array(rng.normal(0.0, 0.2, (2, LONG_FRAMES)), dtype, order=order)
+        mix = AudioBuffer(samples, 44100)
         paths = kernel(rng) if dense else CrosstalkKernel(
             [0, 0.9, 0], [0, 0, 0.2], [0.1, 0, 0], [0, 0.8, 0], sample_rate=44100
         )
-        (one, blocks_one), (split, blocks_split) = in_both_modes(
-            monkeypatch, lambda: apply_crosstalk(mix, paths)
-        )
+        runs = []
+        for mode in MODES:
+            set_cpus(monkeypatch, mode)
+            with recording_rows() as blocks, counting_transforms() as transformed:
+                runs.append((apply_crosstalk(mix, paths), blocks, sum(transformed)))
+        (one, blocks_one, transformed_one), (split, blocks_split, transformed_split) = runs
         assert same_bits(one.samples, split.samples)
         assert split.samples.flags.c_contiguous
+        if dense:
+            # the whole song in one call, or its halves in time, the second
+            # on the helper; each input block is transformed once, and the
+            # second half recomputes the block before it, once per input
+            assert blocks_one == [(slice(None), True)]
+            assert sorted(blocks_split, key=lambda b: b[0].start) == [
+                (slice(0, 1), True), (slice(1, 2), False)
+            ]
+            assert transformed_one == 2 * -(-LONG_FRAMES // (audio._FFT_SIZE - 383))
+            assert transformed_split == transformed_one + 2
+        else:  # exact scaled shifts: no overlap-add to split
+            assert blocks_one == blocks_split == []
+
+    @pytest.mark.parametrize("dtype, order", [("float64", "C"), ("float32", "F")])
+    def test_apply_fir(self, monkeypatch, rng, dtype, order):
+        # out of place, each channel's call splits in time: 16 chunks of
+        # blocks shorter than a 2048-point FFT
+        n_frames = audio._SPLIT_CHUNKS * audio._BLOCKS_PER_CHUNK * audio._FFT_SIZE
+        x = AudioBuffer(np.array(rng.normal(0.0, 0.2, (2, n_frames)), dtype, order=order), 44100)
+        firs = []
+        for taps in (383, 201):
+            half = rng.normal(0.0, 0.1, taps // 2 + 1)
+            firs.append(FirFilter(np.concatenate([half, half[-2::-1]]), 44100))
+        (one, blocks_one), (split, blocks_split) = in_both_modes(
+            monkeypatch, lambda: apply_fir(x, firs)
+        )
+        assert same_bits(one.samples, split.samples)
+        assert blocks_one == [(slice(None), True)] * 2
         assert_modes(blocks_one, blocks_split)
+
+    def test_apply_crosstalk_split_holds_few_buffers(self, monkeypatch, rng):
+        # the shortest song that splits: each thread's chunk scratch is at
+        # most a fifth of the output, 1.33-1.41 in all
+        set_cpus(monkeypatch, "split")
+        mix = AudioBuffer(rng.normal(0.0, 0.2, (2, audio._SPLIT_CHUNKS * XTALK_CHUNK)), 44100)
+        paths = kernel(rng)
+        with recording_rows() as blocks:
+            _, peak = peak_buffers(mix, apply_crosstalk, mix, paths)
+        assert len(blocks) == 2
+        assert peak <= 1.5
 
     @LAYOUTS
     def test_loudness_stages(self, monkeypatch, rng, dtype, order):
