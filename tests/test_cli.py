@@ -95,7 +95,7 @@ class TestEnhanceCommand:
         assert "ValueError: --comp-attack must be finite, got nan" in capsys.readouterr().err
         assert not (song / "enhanced.wav").exists()
 
-    @pytest.mark.parametrize("taps", ["64", "63", "1"])
+    @pytest.mark.parametrize("taps", ["64", "63", "1", "1000000001"])
     def test_bad_taps_fail_before_any_file_is_read(self, song, capsys, monkeypatch, taps):
         def no_read(path):
             raise AssertionError(f"read {path}")
@@ -117,6 +117,7 @@ class TestEnhanceCommand:
             ("--comp-release", "-1", "--comp-release must be positive, got -1.0"),
             ("--taps", "4", "--taps must be odd, got 4"),
             ("--taps", "63", "--taps must be >= 65, got 63"),
+            ("--taps", "1000000001", "--taps must be <= 65537, got 1000000001"),
         ],
     )
     def test_bad_flag_value_fails_naming_the_flag(self, song, capsys, flag, value, message):

@@ -317,6 +317,68 @@ class TestDesignNalrFir:
             Audiogram(anchors, gains)
 
 
+def _design_panel() -> list[Audiogram]:
+    """Clinical shapes, then sloping ears drawn as the benchmark draws its
+    mild and severe listeners: a base level at 250 Hz, a slope per octave
+    and +-2 dB of jitter per frequency."""
+    clinical = [(60.0,) * 6, (90.0,) * 6, (30, 40, 50, 60, 70, 80), (20, 30, 40, 50, 60, 60),
+                (10, 15, 20, 30, 35, 40), (50, 60, 70, 80, 90, 95), (40, 40, 40, 40, 80, 120)]
+    ears = [Audiogram(AUDIOMETRIC_FREQUENCIES, levels) for levels in clinical]
+    octaves = np.log2(np.array(AUDIOMETRIC_FREQUENCIES) / 250.0)
+    for seed in range(1, 7):
+        rng = np.random.default_rng(seed)
+        for base, slope in (((12.0, 16.0), (1.0, 2.0)), ((42.0, 46.0), (8.5, 9.5))):
+            levels = rng.uniform(*base) + rng.uniform(*slope) * octaves + rng.uniform(-2, 2, 6)
+            ears.append(Audiogram(AUDIOMETRIC_FREQUENCIES, tuple(np.round(levels, 1))))
+    return ears
+
+
+class TestDesignPanel:
+    @pytest.mark.parametrize(
+        "n_taps, rate", [(141, 44100), (141, 48000), (101, 44100), (301, 44100), (1025, 44100)]
+    )
+    def test_realizable_designs_land_on_the_prescription(self, n_taps, rate):
+        for ear in _design_panel():
+            gains = nalr_insertion_gains(ear)
+            fir = design_nalr_fir(ear.frequencies, gains, n_taps, rate)
+            error = response_db(fir.taps, ear.frequencies, rate) - gains
+            assert np.max(np.abs(error)) <= 1e-6, ear.levels_db_hl
+
+    @pytest.mark.parametrize(
+        "anchors, levels, n_taps, rate, loop_error_db",
+        [
+            # the last figure is the largest anchor error of the 12-step
+            # pre-correction loop that the one-solve design replaced
+            (AUDIOMETRIC_FREQUENCIES, (30, 40, 50, 60, 70, 80), 65, 44100, 11.54),
+            (AUDIOMETRIC_FREQUENCIES, (30, 40, 50, 60, 70, 80), 65, 96000, 22.63),
+            (AUDIOMETRIC_FREQUENCIES, (30, 40, 50, 60, 70, 80), 141, 96000, 11.40),
+            ((500.0, 500.5, 1000.0, 2000.0), (0, 100, 50, 50), 141, 44100, 27.95),
+        ],
+        ids=["65-taps", "65-taps-96k", "141-taps-96k", "close-anchors"],
+    )
+    def test_unrealizable_designs_stay_bounded(self, anchors, levels, n_taps, rate, loop_error_db):
+        ear = Audiogram(anchors, levels)
+        gains = nalr_insertion_gains(ear)
+        fir = design_nalr_fir(anchors, gains, n_taps, rate)
+        assert np.all(np.isfinite(fir.taps))
+        peak = np.max(response_db(fir.taps, np.linspace(0.0, rate / 2, 8193), rate))
+        assert peak <= gains.max() + 3.0
+        error = response_db(fir.taps, anchors, rate) - gains
+        assert np.max(np.abs(error)) < loop_error_db
+
+    @pytest.mark.parametrize("gain", [300.0, 1000.0, 3000.0, 6000.0, 6500.0, 20000.0])
+    def test_huge_flat_gains_design_or_fail_typed(self, gain):
+        # the design runs at a 0 dB peak, so only the last scale can overflow:
+        # past 10**(gain/20) = 1.8e308 the taps are refused, never a LinAlgError
+        if gain / 20.0 < np.log10(np.finfo(np.float64).max):
+            fir = design_nalr_fir(AUDIOMETRIC_FREQUENCIES, np.full(6, gain), 141, 44100)
+            error = response_db(fir.taps, AUDIOMETRIC_FREQUENCIES, 44100) - gain
+            assert np.max(np.abs(error)) <= 1e-6
+        else:
+            with pytest.raises(ValueError, match="^taps must be finite$"):
+                design_nalr_fir(AUDIOMETRIC_FREQUENCIES, np.full(6, gain), 141, 44100)
+
+
 class TestApplyFir:
     def test_unit_impulse_is_identity(self, rng):
         x = make_buffer(rng.normal(0, 0.3, (2, 5000)))

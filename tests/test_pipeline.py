@@ -406,6 +406,8 @@ class TestEnhanceOptions:
         [
             (64, "must be odd, got 64"),
             (63, "must be >= 65, got 63"),
+            (65539, "must be <= 65537, got 65539"),
+            (1000000001, "must be <= 65537, got 1000000001"),
             (141.0, "must be an integer, got 141.0"),
         ],
     )
