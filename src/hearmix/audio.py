@@ -332,8 +332,7 @@ def _weighted_sum(
     ``_song_span`` frames. In each span the first product is written into
     ``out`` and each later one is added through one span of scratch, so
     beside the output only that span is alive, and the result is the same
-    bits whatever the span. A term of scale 1.0 is added without
-    multiplying, since ``x * 1.0`` is ``x``.
+    bits whatever the span.
     """
     (first_scale, first), *rest = terms
     if out is None:
@@ -346,16 +345,10 @@ def _weighted_sum(
         with np.errstate(over="raise"):
             for frames in _chunks(n_frames, span):
                 acc, product = out[rows, frames], scratch[:, : frames.stop - frames.start]
-                if first_scale == 1.0:
-                    acc[...] = first[rows, frames]
-                else:
-                    np.multiply(first[rows, frames], first_scale, out=acc, dtype=np.float64)
+                np.multiply(first[rows, frames], first_scale, out=acc, dtype=np.float64)
                 for scale, x in rest:
-                    if scale == 1.0:
-                        acc += x[rows, frames]
-                    else:
-                        np.multiply(x[rows, frames], scale, out=product, dtype=np.float64)
-                        acc += product
+                    np.multiply(x[rows, frames], scale, out=product, dtype=np.float64)
+                    acc += product
 
     try:
         _by_rows(sum_rows, out.shape[0])
@@ -610,12 +603,12 @@ def read_wav(path) -> AudioBuffer:
         flat = np.frombuffer(raw, "<i4", count, start) / 2.0**31
     else:
         flat = np.frombuffer(raw, "<f4", count, start)
-        # checked here, so that the error names the file
-        if not np.all(np.isfinite(flat)):
-            raise WavReadError(f"{path}: float samples contain NaN or Inf")
 
     samples = flat.reshape(n_frames, channels).T
-    return AudioBuffer(samples, int(rate))
+    try:
+        return AudioBuffer(samples, int(rate))
+    except ValueError as exc:  # NaN or Inf float samples, named with the file
+        raise WavReadError(f"{path}: {exc}") from None
 
 
 def _extensible_subformat(path, raw: bytes, fmt_start: int, fmt_size: int) -> int:

@@ -134,9 +134,9 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     ``zi`` continues the recursion exactly, so the squares have the same
     bits whatever the piece. Its set-up holds the interpreter lock on each
     call, and its filter loop does not, so two row blocks that make few,
-    long calls filter at once. Each span's squares are summed between the
+    long calls filter at once. Each piece's squares are summed between the
     hop starts and block ends (``_segment_sums``). The row blocks' sums are
-    added in row order span by span, as a sum over all channels at once
+    added in row order piece by piece, as a sum over all channels at once
     would add them, and a block's power is the sum of its own segments, so
     no block loses digits to the energy before it.
     K-weighting is linear, so scaling the signal by g scales every block
@@ -154,29 +154,25 @@ def _block_powers(samples: np.ndarray, sample_rate: int, exponent: int = 0) -> n
     sos = _k_weighting_sos(sample_rate)
     end = int(edges[-1])  # later frames count for no block
     span = _song_span(end)
-    spans = list(_chunks(end, span))
-    per_piece = max(1, end // (10 * span))  # whole spans in 1/10 of the song
-    pieces = [spans[k : k + per_piece] for k in range(0, len(spans), per_piece)]
+    # whole spans in 1/10 of the song
+    pieces = list(_chunks(end, span * max(1, end // (10 * span))))
 
-    def span_sums(rows: slice) -> list[tuple[slice, np.ndarray]]:
+    def piece_sums(rows: slice) -> list[tuple[slice, np.ndarray]]:
         channels = samples[rows]
         zi = np.zeros((sos.shape[0], channels.shape[0], 2))
         sums = []
-        for piece in pieces:
-            first = piece[0].start
-            x = channels[:, first : piece[-1].stop]
+        for frames in pieces:
+            x = channels[:, frames]
             if exponent:
                 x = np.ldexp(x, -exponent)
             squares, zi = sosfilt(sos, x, axis=1, zi=zi)
             np.multiply(squares, squares, out=squares)
-            for frames in piece:
-                span_squares = squares[:, frames.start - first : frames.stop - first]
-                sums.append(_segment_sums(edges, frames, span_squares))
-            del x, squares, span_squares  # before the next piece's are made
+            sums.append(_segment_sums(edges, frames, squares))
+            del x, squares  # before the next piece's are made
         return sums
 
     sums = np.zeros(edges.size)
-    for (where, part), *later in zip(*_by_rows(span_sums, samples.shape[0])):
+    for (where, part), *later in zip(*_by_rows(piece_sums, samples.shape[0])):
         for _, more in later:  # row 1's after row 0's, as .sum(axis=0) adds them
             part = part + more
         sums[where] += part
@@ -243,11 +239,11 @@ def _normalize_in_place(samples: np.ndarray, sample_rate: int, target_lufs: floa
     float64 is left Inf, without a warning, for the caller's buffer to reject.
 
     The relative gate moves with the scale, but the -70 LUFS absolute gate
-    does not, so a gain can keep or drop different blocks; the gain is
-    therefore re-solved once on the scaled powers instead of filtering the
-    scaled signal again. Where the scaled powers leave float64 (a target
-    above about 3000 LUFS), the unscaled powers are gated at the absolute
-    gate less the gain instead.
+    does not, so a gain can keep or drop different blocks. The gain is
+    therefore re-solved once, without filtering the scaled signal again:
+    the measured powers gated at the absolute gate less the gain read the
+    loudness of the blocks that the scaled signal keeps, less the gain.
+    When that gate drops every block, the first gain stays.
     """
     powers, exponent = _measure(samples, sample_rate)
     measured = _gated_lufs(powers)
@@ -256,13 +252,9 @@ def _normalize_in_place(samples: np.ndarray, sample_rate: int, target_lufs: floa
     if exponent:
         np.ldexp(samples, -exponent, out=samples)
     gain_db = target_lufs - measured
-    scaled = powers * 10.0 ** (gain_db / 10.0)  # a silent block's 0 * inf is NaN
-    if np.isfinite(scaled).all():
-        rescaled = _gated_lufs(scaled)
-    else:  # a gate below -70 LUFS keeps the measured blocks, so never None
-        rescaled = _gated_lufs(powers, _ABSOLUTE_GATE_LUFS - gain_db) + gain_db
-    if rescaled is not None:
-        gain_db += target_lufs - rescaled
+    kept = _gated_lufs(powers, _ABSOLUTE_GATE_LUFS - gain_db)
+    if kept is not None:
+        gain_db = target_lufs - kept
     samples *= 10.0 ** (gain_db / 20.0)
 
 

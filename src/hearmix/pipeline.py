@@ -17,6 +17,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .audio import (
+    AlignmentError,
     AudioBuffer,
     _finite_number,
     _read_json,
@@ -217,12 +218,16 @@ def _mix_lufs(mix: AudioBuffer) -> float | None:
     return integrated_loudness(mix).value
 
 
-def _chain_output(like: AudioBuffer, samples: np.ndarray, listener: Listener) -> AudioBuffer:
-    """``like.with_samples(samples)`` for the output of a chain; samples
-    beyond float64 are a ValueError that names the listener and the stages
-    that can leave them so."""
+def _chain(
+    samples: np.ndarray, rate: int, target: float, listener: Listener, n_taps: int
+) -> AudioBuffer:
+    """Loudness normalization to ``target`` and NAL-R, written over the
+    remixed ``samples``, as a buffer that views them; samples beyond
+    float64 are a ValueError that names the listener and both stages."""
+    _normalize_in_place(samples, rate, target)
+    _nalr_in_place(samples, rate, listener, n_taps)
     try:
-        return like.with_samples(samples)
+        return AudioBuffer(samples, rate)
     except ValueError as exc:
         raise ValueError(
             f"listener {listener.id!r}: loudness normalization and NAL-R overflow float64: {exc}"
@@ -257,9 +262,8 @@ def enhance(
     # stage measures or rewrites it in place
     residual_mix = mix if options.use_residual else None
     samples = _front_end(stem_sets, gains, options.ensemble_weights, residual_mix)
-    _normalize_in_place(samples, mix.sample_rate, target)
-    _nalr_in_place(samples, mix.sample_rate, listener, options.n_taps)
-    signal = _chain_output(mix, samples, listener)  # read-only: the compressor writes `samples`
+    # read-only: the compressor writes `samples`
+    signal = _chain(samples, mix.sample_rate, target, listener, options.n_taps)
     clip_report = count_clipped(signal)
     compressed = bool(options.use_compressor_heuristic) and should_compress(clip_report)
     if compressed:
@@ -279,18 +283,16 @@ def build_reference(true_stems: StemSet, gains: GainSpec, listener: Listener) ->
     Remix at the requested gains, normalize to the true mixture's loudness,
     and apply NAL-R with ``DEFAULT_NALR_TAPS`` taps. The reference chain
     never compresses. The true mixture, the tracks' plain sum (the remix at
-    0 dB, whose unit terms are added unmultiplied), is written into the
-    output and measured, then the remix overwrites it, so one song-sized
-    array serves both.
+    0 dB, since ``x * 1.0`` is ``x``), is written into the output and
+    measured, then the remix overwrites it, so one song-sized array serves
+    both.
     """
     _require_stereo(true_stems.vocals, "build_reference")
     rate = true_stems.sample_rate
     samples = _front_end([true_stems], _UNIT_GAINS)
     target = _loudness_target(_integrated_lufs(samples, rate))
     _front_end([true_stems], gains, out=samples)
-    _normalize_in_place(samples, rate, target)
-    _nalr_in_place(samples, rate, listener, DEFAULT_NALR_TAPS)
-    return _chain_output(true_stems.vocals, samples, listener)
+    return _chain(samples, rate, target, listener, DEFAULT_NALR_TAPS)
 
 
 @dataclass(frozen=True)
@@ -426,6 +428,12 @@ def _run(group: _Group, job: BatchJob, base_dir: Path, options: EnhanceOptions) 
     """Take the job's song from ``group``, load its gains and listener,
     enhance the song and write the output, creating the output folder."""
     mix, stem_sets = group.song(job, base_dir)
+    for spec, stem_set in zip(job.stem_specs, stem_sets):
+        try:
+            ensure_aligned(mix, stem_set.vocals, what="mix and stems")
+        except AlignmentError as exc:
+            folder = _spec_files(spec, base_dir)["vocals"].parent
+            raise AlignmentError(f"{job.mix_path} and {folder}: {exc}") from None
     gains = load_gains(job.gains_path)
     listener = load_listener(job.listener_path)
     output, report = enhance(mix, stem_sets, gains, listener, options, song_id=job.song_id)

@@ -213,8 +213,7 @@ def ensemble_average(
         # 0.0 makes a -0.0 sum +0.0, as summing onto zeros would
         mean = _weighted_sum(terms, overflow.format(name))
         mean += 0.0
-        if total != 1.0:  # x / 1.0 is x
-            mean /= total
+        mean /= total
         tracks[name] = stem_sets[0].vocals.with_samples(mean)
     return StemSet(**tracks)
 
@@ -250,22 +249,24 @@ def _ensemble_weights(
 
 
 def compute_residual(mix: AudioBuffer, stems: StemSet) -> AudioBuffer:
-    """Mixture minus the predicted vocals, drums, and bass."""
+    """Mixture minus the predicted vocals, drums, and bass. A difference
+    beyond float64 is a ValueError."""
     ensure_aligned(mix, stems.vocals, what="mix and stems")
-    residual = np.subtract(mix.samples, stems.vocals.samples, dtype=np.float64)
-    residual -= stems.drums.samples
-    residual -= stems.bass.samples
-    return mix.with_samples(residual)
+    terms = [(1.0, mix.samples)]
+    terms += [(-1.0, track.samples) for track in (stems.vocals, stems.drums, stems.bass)]
+    return mix.with_samples(_weighted_sum(terms, "the residual overflows float64"))
 
 
 def blend_other(predicted_other: AudioBuffer, residual: AudioBuffer) -> AudioBuffer:
     """The midpoint of the predicted "other" track and the mixture residual.
 
     Halving is exact, so ``(p + r) * 0.5`` equals ``0.5*p + 0.5*r`` bit for
-    bit outside the subnormal range, with one song-sized array instead of two.
+    bit outside the subnormal range, with one song-sized array instead of
+    two. A sum beyond float64 is a ValueError.
     """
     ensure_aligned(predicted_other, residual, what="predicted other and residual")
-    blended = np.add(predicted_other.samples, residual.samples, dtype=np.float64)
+    terms = [(1.0, predicted_other.samples), (1.0, residual.samples)]
+    blended = _weighted_sum(terms, "the blend of other and residual overflows float64")
     blended *= 0.5
     return predicted_other.with_samples(blended)
 

@@ -498,6 +498,20 @@ class TestReadWav:
         with pytest.raises(WavReadError, match="snan.wav"):
             read_wav(path)
 
+    def test_float_file_is_read_without_a_mask(self, tmp_path, rng):
+        # the samples are a view of the file's bytes, checked without a
+        # file-sized bool array: 1.25 times the file with one
+        path = tmp_path / "float.wav"
+        write_wav(make_buffer(rng.uniform(-1.0, 1.0, (2, 10 * 44100))), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * size
+
 
 class TestPcm24DecodeOracle:
     """24-bit PCM against a per-sample oracle that shares no code with the

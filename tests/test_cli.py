@@ -382,11 +382,18 @@ class TestBatchCommand:
                 {"kind": "noisy_oracle", "path": "song1/stems", "snr_db": 1e308, "seed": 1},
                 "ValueError: snr_db must have a power ratio 10 ** (snr_db / 10)",
             ),
+            (
+                "song1/stems_48k",
+                "AlignmentError: {root}/song1/mix.wav and {root}/song1/stems_48k: "
+                "mix and stems have mixed sample rates: 44100 vs 48000\n",
+            ),
         ],
-        ids=["missing_stem", "snr_ratio_overflows"],
+        ids=["missing_stem", "snr_ratio_overflows", "stems_at_48k"],
     )
     def test_partial_failure_exit_code(self, tmp_path, rng, capsys, spec, error):
         root = self._setup(tmp_path, rng, broken=set() if spec else {1})
+        if isinstance(spec, str):
+            write_stems_dir(synth_stems(rng, seconds=0.4, rate=48000), root / spec)
         if spec:
             doc = json.loads((root / "manifest.json").read_text())
             doc["jobs"][1]["stems"] = [spec]
@@ -409,7 +416,7 @@ class TestBatchCommand:
         assert (root / "out" / "song2.wav").exists()
         err = capsys.readouterr().err
         assert "song1" in err
-        assert err.startswith(f"job song1 failed: {error}")
+        assert err.startswith(f"job song1 failed: {error.format(root=root)}")
         assert _summary(err) == (2, 1)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -210,18 +210,20 @@ class TestBlockPowers:
         assert peak / buffer.samples.nbytes <= 0.1
 
 
-def span_by_span_powers(samples: np.ndarray, rate: int, exponent: int = 0) -> np.ndarray:
-    """The block powers of ``samples * 2**-exponent`` as the meter made
-    them with one ``sosfilt`` call per ``_song_span`` span, over all rows
-    at once: the bits that filtering in longer pieces keeps."""
+def piece_by_piece_powers(samples: np.ndarray, rate: int, exponent: int = 0) -> np.ndarray:
+    """The block powers of ``samples * 2**-exponent`` with one ``sosfilt``
+    call and one ``_segment_sums`` per piece of whole ``_song_span`` spans
+    (as many as fit in 1/10 of the song), over all rows at once: the bits
+    that the meter keeps whether its rows split or not."""
     block, hop = int(round(0.4 * rate)), int(round(0.1 * rate))
     starts = np.arange(0, samples.shape[1] - block + 1, hop)
     edges = np.union1d(starts, starts + block)
     sos = levels._k_weighting_sos(rate)
     end = int(edges[-1])
+    span = _song_span(end)
     zi = np.zeros((sos.shape[0], samples.shape[0], 2))
     sums = np.zeros(edges.size)
-    for frames in _chunks(end, _song_span(end)):
+    for frames in _chunks(end, span * max(1, end // (10 * span))):
         x = samples[:, frames]
         if exponent:
             x = np.ldexp(x, -exponent)
@@ -233,8 +235,8 @@ def span_by_span_powers(samples: np.ndarray, rate: int, exponent: int = 0) -> np
 
 
 class TestPiecesOfSpans:
-    """The meter filters several spans per ``sosfilt`` call and keeps the
-    bits of one call per span, split over two threads or not."""
+    """The meter filters and sums several spans per call and keeps the
+    bits of one call per piece over all rows, split over two threads or not."""
 
     # 720,000 frames at 8 kHz: two 32768-frame spans a piece; 30 s at
     # 44.1 kHz: four
@@ -242,7 +244,7 @@ class TestPiecesOfSpans:
 
     @pytest.mark.parametrize("rate, seconds, spans", CASES, ids=["8k-90s", "44k-30s"])
     @pytest.mark.parametrize("cpus", [1, 2], ids=["one_call", "split"])
-    def test_same_bits_as_span_by_span(self, monkeypatch, rng, rate, seconds, spans, cpus):
+    def test_same_bits_as_piece_by_piece(self, monkeypatch, rng, rate, seconds, spans, cpus):
         monkeypatch.setattr(audio, "_cpu_count", lambda: cpus)
         calls = []
 
@@ -254,7 +256,7 @@ class TestPiecesOfSpans:
         samples = rng.normal(0.0, 0.2, (2, rate * seconds))
         samples[:, samples.shape[1] // 2 :] *= 1e-3  # a quiet half
         ours = levels._block_powers(samples, rate)
-        assert ours.tobytes() == span_by_span_powers(samples, rate).tobytes()
+        assert ours.tobytes() == piece_by_piece_powers(samples, rate).tobytes()
         # each row block's calls hold ``spans`` spans each, but its last
         lengths = [shape[1] for shape in calls]
         assert lengths.count(spans * 32768) == len(lengths) - cpus
@@ -268,7 +270,7 @@ class TestPiecesOfSpans:
         samples = 1e300 * rng.normal(0.0, 0.2, (2, 720_000))
         powers, exponent = levels._measure(samples, 8000)
         assert exponent > 0
-        assert powers.tobytes() == span_by_span_powers(samples, 8000, exponent).tobytes()
+        assert powers.tobytes() == piece_by_piece_powers(samples, 8000, exponent).tobytes()
 
 
 # 0.5 s of stereo noise at peak 0.5: two loudness blocks

@@ -792,13 +792,15 @@ class TestBuildReference:
 
 
 class TestBatch:
-    def _song_files(self, tmp_path, rng, name, break_stems=False):
+    def _song_files(self, tmp_path, rng, name, break_stems=None):
         stems = synth_stems(rng, seconds=0.5)
         mix = exact_mix(stems)
         song_dir = tmp_path / name
         write_stems_dir(stems, song_dir / "stems")
-        if break_stems:
+        if break_stems == "missing_drums":
             (song_dir / "stems" / "drums.wav").unlink()
+        if break_stems == "stems_at_48k":
+            write_stems_dir(synth_stems(rng, seconds=0.5, rate=48000), song_dir / "stems")
         from hearmix import write_wav
 
         write_wav(mix, song_dir / "mix.wav")
@@ -811,9 +813,9 @@ class TestBatch:
             "out": f"out/{name}.wav",
         }
 
-    def _manifest(self, tmp_path, rng, n_jobs=2, broken=()):
+    def _manifest(self, tmp_path, rng, n_jobs=2, broken=(), breakage="missing_drums"):
         jobs = [
-            self._song_files(tmp_path, rng, f"song{i}", break_stems=(i in broken))
+            self._song_files(tmp_path, rng, f"song{i}", break_stems=breakage if i in broken else None)
             for i in range(n_jobs)
         ]
         write_gains_file(tmp_path / "gains.json")
@@ -836,10 +838,22 @@ class TestBatch:
             out = read_wav(tmp_path / "out" / f"song{i}.wav")
             assert out.channels == 2
 
-    def test_broken_job_is_isolated(self, tmp_path, rng):
-        manifest = load_manifest(self._manifest(tmp_path, rng, n_jobs=2, broken={0}))
-        reports = run_batch(manifest)
-        assert reports[0].error is not None and "drums" in reports[0].error
+    @pytest.mark.parametrize(
+        "breakage, error",
+        [
+            ("missing_drums", "FileNotFoundError: missing stem file: {song}/stems/drums.wav"),
+            (
+                "stems_at_48k",
+                "AlignmentError: {song}/mix.wav and {song}/stems: "
+                "mix and stems have mixed sample rates: 44100 vs 48000",
+            ),
+        ],
+        ids=["missing_drums", "stems_at_48k"],
+    )
+    def test_broken_job_is_isolated(self, tmp_path, rng, breakage, error):
+        path = self._manifest(tmp_path, rng, n_jobs=2, broken={0}, breakage=breakage)
+        reports = run_batch(load_manifest(path))
+        assert reports[0].error == error.format(song=tmp_path / "song0")
         assert reports[1].error is None
         assert not (tmp_path / "out" / "song0.wav").exists()
         assert (tmp_path / "out" / "song1.wav").exists()
@@ -1125,7 +1139,8 @@ class TestSharedLoading:
                 assert job.output_path.exists()
 
     BREAKAGES = ["silent_mix", "silent_mix_and_bad_gains", "mono_mix", "low_rate_mix",
-                 "truncated_stem", "missing_stem_file", "missing_stem_folder", "bad_listener"]
+                 "stems_at_48k", "truncated_stem", "missing_stem_file", "missing_stem_folder",
+                 "bad_listener"]
 
     def _break(self, tmp_path, rng, breakage):
         """Damage the inputs of song0's jobs, or of listener 1's."""
@@ -1139,6 +1154,8 @@ class TestSharedLoading:
             write_wav(make_buffer(rng.normal(0, 0.1, (1, n_frames))), song / "mix.wav")
         if breakage == "low_rate_mix":  # below the loudness meter's 8 kHz
             write_wav(make_buffer(rng.normal(0, 0.1, (2, n_frames)), 4000), song / "mix.wav")
+        if breakage == "stems_at_48k":
+            write_stems_dir(synth_stems(rng, seconds=0.5, rate=48000), song / "sep1")
         if breakage == "truncated_stem":
             whole = (song / "sep1" / "bass.wav").read_bytes()
             (song / "sep1" / "bass.wav").write_bytes(whole[:-100])

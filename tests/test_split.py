@@ -25,7 +25,9 @@ from hearmix import (
     StemSet,
     apply_crosstalk,
     apply_fir,
+    blend_other,
     build_reference,
+    compute_residual,
     enhance,
     integrated_loudness,
     load_manifest,
@@ -285,6 +287,19 @@ class TestSameBits:
             monkeypatch, lambda: build_reference(truth, GainSpec(3.0, -2.0, 1.0, 1.5), flat_listener(45.0))
         )
         assert same_bits(one.samples, split.samples)
+        assert_modes(blocks_one, blocks_split)
+
+    @LAYOUTS
+    def test_residual_stages(self, monkeypatch, rng, dtype, order):
+        mix, (predicted, _) = song(rng, dtype, order)
+
+        def residual_stages():
+            residual = compute_residual(mix, predicted)
+            return residual, blend_other(predicted.other, residual)
+
+        (one, blocks_one), (split, blocks_split) = in_both_modes(monkeypatch, residual_stages)
+        for a, b in zip(one, split):
+            assert same_bits(a.samples, b.samples)
         assert_modes(blocks_one, blocks_split)
 
     @LAYOUTS

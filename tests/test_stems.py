@@ -282,11 +282,22 @@ class TestComputeResidual:
         with pytest.raises(AlignmentError):
             compute_residual(short_mix, stems)
 
+    def test_overflow_names_the_stage(self):
+        loud = make_buffer(np.full((2, 10), 1e308))
+        stems = StemSet(vocals=loud.with_samples(-loud.samples), drums=loud, bass=loud, other=loud)
+        with pytest.raises(ValueError, match="^the residual overflows float64$"):
+            compute_residual(loud, stems)
+
 
 class TestBlendOther:
     def test_equal_inputs_unchanged(self, rng):
         x = make_buffer(rng.normal(0, 0.1, (2, 100)))
         np.testing.assert_array_equal(blend_other(x, x).samples, x.samples)
+
+    def test_overflow_names_the_stage(self):
+        loud = make_buffer(np.full((2, 10), 1e308))
+        with pytest.raises(ValueError, match="^the blend of other and residual overflows float64$"):
+            blend_other(loud, loud)
 
     def test_zero_prediction_halves_residual(self, rng):
         residual = make_buffer(rng.normal(0, 0.1, (2, 100)))
